@@ -169,11 +169,6 @@ def _derivative(values: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _require_fine(f: AngularFunction) -> None:
-    if f.theta_grid.size < _MIN_GRID:
-        raise ValueError("grid too coarse for finite-difference operators")
-
-
 def interior_mask(grid: np.ndarray, margin: float = POLE_MARGIN) -> np.ndarray:
     """Boolean mask selecting samples with theta in [margin, pi - margin]."""
     return (grid >= margin) & (grid <= math.pi - margin)
@@ -193,7 +188,6 @@ def sectoral(m: float, grid: np.ndarray) -> AngularFunction:
 
 def apply_raising(f: AngularFunction) -> AngularFunction:
     """Raising operator: profile ``f' - m cot(theta) f`` at weight ``m + 1``."""
-    _require_fine(f)
     h = _uniform_spacing(f.theta_grid)
     cot = np.cos(f.theta_grid) / np.sin(f.theta_grid)
     out = _derivative(f.values, h) - f.m * cot * f.values
@@ -202,7 +196,6 @@ def apply_raising(f: AngularFunction) -> AngularFunction:
 
 def apply_lowering(f: AngularFunction) -> AngularFunction:
     """Lowering operator: profile ``-f' - m cot(theta) f`` at weight ``m - 1``."""
-    _require_fine(f)
     h = _uniform_spacing(f.theta_grid)
     cot = np.cos(f.theta_grid) / np.sin(f.theta_grid)
     out = -_derivative(f.values, h) - f.m * cot * f.values
@@ -217,7 +210,6 @@ def apply_casimir(f: AngularFunction) -> AngularFunction:
     of weight ``m`` and degree ``nu`` return ``nu (nu + 1)`` times
     themselves, up to discretization error.
     """
-    _require_fine(f)
     h = _uniform_spacing(f.theta_grid)
     sin_t = np.sin(f.theta_grid)
     flux = sin_t * _derivative(f.values, h)

@@ -19,14 +19,17 @@ field, so the enumerator never emits it.
 Roots are located by a fixed-step scan (step 0.05 — consecutive roots of
 interest are separated by more than one unit, so no sign change can be
 skipped) refined by bisection to a relative width of 1e-12, giving
-deterministic, reproducible spectra.
+deterministic, reproducible spectra.  Each (polarisation, nu) tower is
+scanned once: a memo keeps its roots and the point where its scan stopped,
+and later requests resume the scan there, so a root is the same float
+however it was first reached.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .specfun import BESSEL_X_MAX, riccati_derivative, spherical_j
 from .specfun import legendre_theta
@@ -60,37 +63,32 @@ class RootNotFoundError(LookupError):
     """No qualifying root below the evaluation cap ``x = BESSEL_X_MAX``."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WedgeConfig:
     """Cavity geometry: sphere radius and wedge opening.
 
     Parameters
     ----------
     radius_a : float
-        Sphere radius in meters.
+        Sphere radius in meters, finite and positive.
     wedge_angle : float
         Wedge opening in radians, within [0, 2 pi).  Zero recovers the
         full sphere.
-    domain_phi : float
-        Azimuthal extent ``2 pi - wedge_angle`` of the field domain.
-        Derived automatically when omitted.
     """
 
     radius_a: float
     wedge_angle: float
-    domain_phi: float = float("nan")
 
     def __post_init__(self) -> None:
-        if math.isnan(self.domain_phi):
-            object.__setattr__(self, "domain_phi", 2.0 * math.pi - self.wedge_angle)
-        if self.radius_a <= 0.0:
-            raise ValueError("radius_a must be positive")
+        if not (math.isfinite(self.radius_a) and self.radius_a > 0.0):
+            raise ValueError("radius_a must be finite and positive")
         if not 0.0 <= self.wedge_angle < 2.0 * math.pi:
             raise ValueError("wedge_angle must lie in [0, 2*pi)")
-        if self.domain_phi <= 0.0:
-            raise ValueError("domain_phi must be positive")
-        if abs(self.domain_phi + self.wedge_angle - 2.0 * math.pi) > 1e-9:
-            raise ValueError("domain_phi and wedge_angle must add up to 2*pi")
+
+    @property
+    def domain_phi(self) -> float:
+        """Azimuthal extent ``2 pi - wedge_angle`` of the field domain."""
+        return 2.0 * math.pi - self.wedge_angle
 
     @classmethod
     def from_degrees(cls, wedge_deg: float, radius_a: float) -> "WedgeConfig":
@@ -98,7 +96,7 @@ class WedgeConfig:
         return cls(radius_a=radius_a, wedge_angle=math.radians(wedge_deg))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModeId:
     """Quantum numbers of a cavity mode.
 
@@ -128,7 +126,7 @@ class ModeId:
             raise ValueError("nu - m must equal the integer k")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModeRecord:
     """A resolved mode: identity, dimensionless root ``x = ka``, frequency
     in hertz (``f = c x / (2 pi a)`` with the exact speed of light), and
@@ -153,12 +151,12 @@ def azimuthal_index(n: int, config: WedgeConfig) -> float:
     return n * math.pi / config.domain_phi
 
 
-def _bisect(func, lo: float, hi: float) -> float:
-    """Refine a bracketed sign change to relative width 1e-12."""
-    f_lo = func(lo)
+def _bisect(func, nu: float, lo: float, f_lo: float, hi: float) -> float:
+    """Refine a sign change of ``func(nu, .)`` on ``(lo, hi]``, where
+    ``f_lo = func(nu, lo)``, to relative width 1e-12."""
     while hi - lo > _BISECT_REL_WIDTH * hi:
         mid = 0.5 * (lo + hi)
-        f_mid = func(mid)
+        f_mid = func(nu, mid)
         if f_mid == 0.0:
             return mid
         if (f_lo < 0.0) == (f_mid < 0.0):
@@ -168,50 +166,79 @@ def _bisect(func, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _scan_root(func, s: int) -> float:
-    """The s-th positive zero of ``func``, by scan plus bisection."""
+class _Tower:
+    """Resumable scan of one (polarisation, nu) root tower: the roots found
+    so far, ascending, and the last scan point ``x`` with the
+    characteristic value ``f`` there."""
+
+    __slots__ = ("roots", "x", "f")
+
+    def __init__(self, x: float, f: float) -> None:
+        self.roots: list[float] = []
+        self.x = x
+        self.f = f
+
+
+#: Every tower scanned so far, keyed by (polarisation, nu).  The lock keeps
+#: two threads resuming one tower from appending the same root twice.
+_TOWERS: dict[tuple[str, float], _Tower] = {}
+_TOWERS_LOCK = threading.Lock()
+
+
+def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]:
+    """The roots of the (pol, nu) tower found so far, ascending.
+
+    Resumes the tower's scan until it holds ``count`` roots, its scan point
+    has passed ``x_cap``, or the next point would pass the ``x = 40``
+    window.  The list may hold roots beyond ``count`` or above ``x_cap``
+    from earlier scans; it is the memo itself, so callers must not modify it.
+    """
+    func = spherical_j if pol == "TE" else riccati_derivative
+    with _TOWERS_LOCK:
+        tower = _TOWERS.get((pol, nu))
+        if tower is None:
+            tower = _TOWERS[(pol, nu)] = _Tower(_SCAN_START, func(nu, _SCAN_START))
+        roots, x, f_x = tower.roots, tower.x, tower.f
+        while len(roots) < count and x <= x_cap:
+            x_next = x + _SCAN_STEP
+            if x_next > BESSEL_X_MAX:
+                break
+            f_next = func(nu, x_next)
+            if f_next == 0.0:
+                roots.append(x_next)
+            elif (f_x < 0.0) != (f_next < 0.0):
+                roots.append(_bisect(func, nu, x, f_x, x_next))
+            x, f_x = x_next, f_next
+        tower.x, tower.f = x, f_x
+    return roots
+
+
+def _root(pol: str, nu: float, s: int) -> float:
+    if nu < 0.0:
+        raise ValueError("order nu must be non-negative")
     if s < 1:
         raise ValueError("root index s counts from 1")
-    found = 0
-    x_prev = _SCAN_START
-    f_prev = func(x_prev)
-    x = x_prev + _SCAN_STEP
-    while x <= BESSEL_X_MAX:
-        f_here = func(x)
-        if f_here == 0.0:
-            found += 1
-            if found == s:
-                return x
-        elif (f_prev < 0.0) != (f_here < 0.0):
-            found += 1
-            if found == s:
-                return _bisect(func, x_prev, x)
-        x_prev, f_prev = x, f_here
-        x += _SCAN_STEP
-    raise RootNotFoundError(
-        f"fewer than s={s} roots below the x={BESSEL_X_MAX:g} evaluation cap"
-    )
+    roots = _tower_roots(pol, nu, s, BESSEL_X_MAX)
+    if len(roots) < s:
+        raise RootNotFoundError(
+            f"fewer than s={s} roots below the x={BESSEL_X_MAX:g} evaluation cap"
+        )
+    return roots[s - 1]
 
 
-@lru_cache(maxsize=None)
 def te_root(nu: float, s: int) -> float:
     """The s-th zero of ``j_nu`` — TE resonance condition ``j_nu(ka) = 0``."""
-    if nu < 0.0:
-        raise ValueError("order nu must be non-negative")
-    return _scan_root(lambda x: spherical_j(nu, x), s)
+    return _root("TE", nu, s)
 
 
-@lru_cache(maxsize=None)
 def tm_root(nu: float, s: int) -> float:
     """The s-th zero of ``d/dx [x j_nu(x)]`` — TM resonance condition."""
-    if nu < 0.0:
-        raise ValueError("order nu must be non-negative")
-    return _scan_root(lambda x: riccati_derivative(nu, x), s)
+    return _root("TM", nu, s)
 
 
 def frequency(x: float, radius_a: float) -> float:
     """Resonant frequency in hertz for a dimensionless root ``x = ka``."""
-    if x <= 0.0 or radius_a <= 0.0:
+    if not (x > 0.0 and radius_a > 0.0):
         raise ValueError("root and radius must be positive")
     return SPEED_OF_LIGHT * x / (2.0 * math.pi * radius_a)
 
@@ -234,10 +261,6 @@ def null_field_check(nu: float, m: float) -> bool:
     return nu == 0.0 and m == 0.0
 
 
-def _mode_root(polarisation: str, nu: float, s: int) -> float:
-    return te_root(nu, s) if polarisation == "TE" else tm_root(nu, s)
-
-
 def enumerate_spectrum(
     config: WedgeConfig,
     f_max_hz: float,
@@ -245,13 +268,16 @@ def enumerate_spectrum(
 ) -> list[ModeRecord]:
     """All modes with frequency at most ``f_max_hz``, ascending in frequency.
 
-    The search walks harmonic number ``n`` (from 1 for TM, 0 for TE),
-    lowering count ``k`` and radial index ``s``, relying on the roots'
-    strict monotonicity in ``nu`` and ``s`` to terminate each loop as soon
-    as the first candidate of the next tier exceeds the cap.  The null-field
-    TE ``nu = m = 0`` candidate is skipped.  Frequency ties are broken by
-    (TM before TE, then n, k, s); repeated calls return identical lists.
+    For each polarisation the search walks harmonic number ``n`` (from 1
+    for TM, 0 for TE) and, within it, lowering count ``k`` while the tower
+    of order ``nu = m + k`` has a root below the cap; the roots' strict
+    monotonicity in ``nu`` ends the walk over ``n`` at the first ``m``
+    without one.  The null-field TE ``nu = m = 0`` tower is skipped.
+    Frequency ties are broken by (TM before TE, then n, k, s); repeated
+    calls return identical lists.
     """
+    if not math.isfinite(f_max_hz):
+        raise ValueError("f_max_hz must be finite")
     if f_max_hz <= 0.0:
         return []
     unknown = set(polarisations) - {"TM", "TE"}
@@ -264,49 +290,23 @@ def enumerate_spectrum(
         )
 
     records: list[ModeRecord] = []
-    for pol in ("TM", "TE"):
-        if pol not in polarisations:
-            continue
+    for pol in set(polarisations):
         n = 1 if pol == "TM" else 0
         while True:
             m = azimuthal_index(n, config)
-            try:
-                base = _mode_root(pol, m, 1)
-            except RootNotFoundError:
-                break
-            if base > x_cap:
-                break
             k = 0
-            while True:
+            while xs := [
+                x for x in _tower_roots(pol, m + k, math.inf, x_cap) if x <= x_cap
+            ]:
                 nu = m + k
-                try:
-                    first = _mode_root(pol, nu, 1)
-                except RootNotFoundError:
-                    break
-                if first > x_cap:
-                    break
-                s = 1
-                while True:
-                    try:
-                        x = _mode_root(pol, nu, s)
-                    except RootNotFoundError:
-                        break
-                    if x > x_cap:
-                        break
-                    if not (pol == "TE" and null_field_check(nu, m)):
-                        mode = ModeId(
-                            polarisation=pol, n=n, k=k, s=s, m=m, nu=nu
-                        )
-                        records.append(
-                            ModeRecord(
-                                id=mode,
-                                x=x,
-                                freq_hz=frequency(x, config.radius_a),
-                                family=classify(mode),
-                            )
-                        )
-                    s += 1
+                if not (pol == "TE" and null_field_check(nu, m)):
+                    for s, x in enumerate(xs, 1):
+                        mode = ModeId(polarisation=pol, n=n, k=k, s=s, m=m, nu=nu)
+                        freq_hz = frequency(x, config.radius_a)
+                        records.append(ModeRecord(mode, x, freq_hz, classify(mode)))
                 k += 1
+            if k == 0:
+                break
             n += 1
 
     records.sort(

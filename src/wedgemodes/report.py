@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+from . import modes
 from .modes import ModeRecord
 
 __all__ = [
@@ -276,6 +277,18 @@ def compare(
     return rows, mean_abs
 
 
+def _validate_block(
+    wedge_deg: float, tol: float = 0.002
+) -> tuple[list[ComparisonRow], float]:
+    """:func:`compare` one reference block against the spectrum of its
+    15 mm cavity, enumerated up to 1.3 times the block's largest tabulated
+    theory frequency."""
+    block = block_reference(wedge_deg)
+    config = modes.WedgeConfig.from_degrees(wedge_deg, 0.015)
+    cap_hz = 1.3 * max(row.f_theory_ghz for row in block) * 1e9
+    return compare(modes.enumerate_spectrum(config, cap_hz), block, tol)
+
+
 def _spectrum_json_obj(rec: ModeRecord) -> dict:
     return {
         "pol": rec.id.polarisation,
@@ -304,26 +317,30 @@ def _spectrum_csv_row(rec: ModeRecord) -> list[str]:
     ]
 
 
-def _comparison_json_obj(row: ComparisonRow) -> dict:
-    ref = row.reference
-    obj = {
-        "wedge_deg": ref.wedge_deg,
-        "mode_index": ref.mode_index,
-        "pol": ref.polarisation,
-        "m": _round6(ref.m),
-        "k": ref.k,
-        "nu": _round6(ref.nu),
-        "f_theory_ghz": _round6(ref.f_theory_ghz),
-        "f_hfss_ghz": _round6(ref.f_hfss_ghz),
-        "f_computed_ghz": None,
-        "dev_vs_theory_pct": None,
-        "dev_vs_hfss_pct": None,
-        "matched": row.matched,
+def _reference_json_obj(row: ReferenceRow) -> dict:
+    return {
+        "wedge_deg": row.wedge_deg,
+        "mode_index": row.mode_index,
+        "pol": row.polarisation,
+        "m": _round6(row.m),
+        "k": row.k,
+        "nu": _round6(row.nu),
+        "f_theory_ghz": _round6(row.f_theory_ghz),
+        "f_hfss_ghz": _round6(row.f_hfss_ghz),
     }
+
+
+def _comparison_json_obj(row: ComparisonRow) -> dict:
+    obj = _reference_json_obj(row.reference)
     if row.matched:
-        obj["f_computed_ghz"] = _round6(row.f_computed_ghz)
-        obj["dev_vs_theory_pct"] = round(100.0 * row.dev_vs_theory, 4)
-        obj["dev_vs_hfss_pct"] = round(100.0 * row.dev_vs_hfss, 4)
+        obj.update(
+            f_computed_ghz=_round6(row.f_computed_ghz),
+            dev_vs_theory_pct=round(100.0 * row.dev_vs_theory, 4),
+            dev_vs_hfss_pct=round(100.0 * row.dev_vs_hfss, 4),
+        )
+    else:
+        obj.update(f_computed_ghz=None, dev_vs_theory_pct=None, dev_vs_hfss_pct=None)
+    obj["matched"] = row.matched
     return obj
 
 
@@ -369,7 +386,7 @@ def render(items, fmt: str, kind: str | None = None) -> bytes:
         header, to_csv, to_json = {
             "spectrum": (_SPECTRUM_FIELDS, _spectrum_csv_row, _spectrum_json_obj),
             "comparison": (_COMPARISON_FIELDS, _comparison_csv_row, _comparison_json_obj),
-            "reference": (_REFERENCE_FIELDS, _reference_csv_row, None),
+            "reference": (_REFERENCE_FIELDS, _reference_csv_row, _reference_json_obj),
         }[kind]
     except KeyError:
         raise ValueError(f"unknown render kind: {kind!r}") from None
@@ -382,24 +399,7 @@ def render(items, fmt: str, kind: str | None = None) -> bytes:
             writer.writerow(to_csv(item))
         return buf.getvalue().encode("utf-8")
 
-    if kind == "reference":
-        objs = [
-            dict(zip(_REFERENCE_FIELDS, row, strict=True))
-            for row in (_reference_csv_row(item) for item in items)
-        ]
-        # keep numerics numeric in JSON despite the shared CSV row builder
-        for obj, item in zip(objs, items, strict=True):
-            obj.update(
-                wedge_deg=item.wedge_deg,
-                mode_index=item.mode_index,
-                m=_round6(item.m),
-                k=item.k,
-                nu=_round6(item.nu),
-                f_theory_ghz=_round6(item.f_theory_ghz),
-                f_hfss_ghz=_round6(item.f_hfss_ghz),
-            )
-    else:
-        objs = [to_json(item) for item in items]
+    objs = [to_json(item) for item in items]
     return (json.dumps(objs, separators=(",", ":"), ensure_ascii=False) + "\n").encode(
         "utf-8"
     )

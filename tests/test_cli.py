@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import subprocess
@@ -66,14 +67,27 @@ class TestSpectrum:
         assert len(lines) == 2
         assert lines[1].startswith("TE,")
 
-    def test_cap_beyond_root_window_is_reported(self):
+    def test_quarter_wedge_to_x_ten_is_frozen(self):
+        # 102 modes up to x = 10; the digest was taken from the
+        # restart-per-root search, whose root floats every scan must keep
         proc = run_cli(
             "spectrum", "--radius-mm", "15", "--wedge-deg", "90",
-            "--fmax-ghz", "400",
+            "--fmax-ghz", "31.8",
         )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error:")
+        assert proc.returncode == 0
+        assert len(proc.stdout.splitlines()) == 103
+        digest = hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
+        assert digest.startswith("df212b1c6cb0582f")
+
+    def test_cap_beyond_root_window_is_reported(self):
+        for radius_mm, fmax_ghz in (("15", "400"), ("15", "nan"), ("nan", "14")):
+            proc = run_cli(
+                "spectrum", "--radius-mm", radius_mm, "--wedge-deg", "90",
+                "--fmax-ghz", fmax_ghz,
+            )
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error:")
 
 
 class TestUsageErrors:

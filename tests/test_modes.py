@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from wedgemodes import modes
 from wedgemodes.modes import (
     SPEED_OF_LIGHT,
     ModeId,
@@ -39,8 +42,9 @@ class TestWedgeConfig:
         assert cfg.domain_phi == pytest.approx(2.0 * math.pi, rel=1e-15)
 
     def test_rejects_non_positive_radius(self):
-        with pytest.raises(ValueError):
-            WedgeConfig(radius_a=0.0, wedge_angle=1.0)
+        for radius in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                WedgeConfig(radius_a=radius, wedge_angle=1.0)
 
     def test_rejects_wedge_of_full_circle(self):
         with pytest.raises(ValueError):
@@ -49,10 +53,6 @@ class TestWedgeConfig:
     def test_rejects_negative_wedge(self):
         with pytest.raises(ValueError):
             WedgeConfig(radius_a=RADIUS, wedge_angle=-0.1)
-
-    def test_rejects_inconsistent_domain_override(self):
-        with pytest.raises(ValueError):
-            WedgeConfig(radius_a=RADIUS, wedge_angle=math.pi / 2.0, domain_phi=1.0)
 
 
 class TestModeId:
@@ -161,6 +161,65 @@ class TestRoots:
         assert te_root(1.0, 2) > te_root(1.0, 1)
         assert tm_root(1.0, 2) > tm_root(1.0, 1)
 
+    def test_listing_a_tower_resumes_one_scan(self, monkeypatch):
+        # restarting the scan from x = 0.05 for every radial index costs
+        # 4091 evaluations here; one resumed scan costs under a thousand
+        calls = 0
+
+        def counted(nu, x):
+            nonlocal calls
+            calls += 1
+            return spherical_j(nu, x)
+
+        monkeypatch.setattr(modes, "_TOWERS", {})
+        monkeypatch.setattr(modes, "spherical_j", counted)
+        s = 1
+        while te_root(1.0, s) < 30.0:
+            s += 1
+        assert s == 10
+        assert calls <= 1100
+
+    def test_root_is_the_same_float_before_and_after_enumeration(self, monkeypatch):
+        cfg = WedgeConfig.from_degrees(90.0, RADIUS)
+        nu = azimuthal_index(1, cfg) + 1.0  # the n = 1, k = 1 tower
+        monkeypatch.setattr(modes, "_TOWERS", {})
+        cold = [te_root(nu, s) for s in (1, 2, 3)]
+        monkeypatch.setattr(modes, "_TOWERS", {})
+        records = enumerate_spectrum(cfg, 31.8e9)
+        scanned = sorted(
+            rec.x for rec in records
+            if rec.id.polarisation == "TE" and rec.id.n == 1 and rec.id.k == 1
+        )
+        # the cap (x = 10) stops the scan below the third root, so the
+        # request for it resumes the enumeration's scan
+        assert scanned == cold[:2]
+        assert te_root(nu, 3) == cold[2]
+
+    @pytest.mark.parametrize("nu", [1.5, 2.5, 3.5])
+    def test_concurrent_requests_resume_one_scan(self, monkeypatch, nu):
+        monkeypatch.setattr(modes, "_TOWERS", {})
+        want = [te_root(nu, s) for s in range(1, 9)]
+        monkeypatch.setattr(modes, "_TOWERS", {})
+        got = {}
+
+        def request(i):
+            order = range(1, 9) if i % 2 else range(8, 0, -1)
+            got[i] = sorted(te_root(nu, s) for s in order)
+
+        threads = [threading.Thread(target=request, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(got[i] == want for i in range(8))
+        assert modes._TOWERS[("TE", nu)].roots == want
+
     def test_residuals_vanish_at_reported_roots(self):
         cfg = WedgeConfig.from_degrees(90.0, RADIUS)
         for rec in enumerate_spectrum(cfg, 13.69e9):
@@ -188,6 +247,8 @@ class TestFrequency:
             frequency(0.0, RADIUS)
         with pytest.raises(ValueError):
             frequency(2.0, 0.0)
+        with pytest.raises(ValueError):
+            frequency(2.0, math.nan)
 
 
 class TestClassify:
@@ -266,8 +327,9 @@ class TestEnumerate:
 
     def test_rejects_cap_beyond_root_window(self):
         cfg = WedgeConfig.from_degrees(90.0, RADIUS)
-        with pytest.raises(ValueError):
-            enumerate_spectrum(cfg, 400e9)
+        for cap in (400e9, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                enumerate_spectrum(cfg, cap)
 
     def test_te_only_filter(self):
         cfg = WedgeConfig.from_degrees(90.0, RADIUS)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -266,6 +267,17 @@ class TestRender:
         assert obj["matched"] is False
         assert obj["f_computed_ghz"] is None
         assert obj["dev_vs_theory_pct"] is None
+
+    def test_reference_json_is_frozen(self):
+        got = render(load_reference(), "json", kind="reference")
+        assert got.startswith(
+            b'[{"wedge_deg":27.0,"mode_index":1,"pol":"TM","m":0.540541,"k":0,'
+            b'"nu":0.540541,"f_theory_ghz":7.04,"f_hfss_ghz":7.043},'
+        )
+        assert len(got) == 3476
+        assert hashlib.sha256(got).hexdigest() == (
+            "ca82168cdd6b0205d8e7dadd9506eab4de764eeb871006a5f837d4e007a6a10a"
+        )
 
     def test_empty_spectrum_renders_header_only(self):
         assert render([], "csv") == b"pol,n,k,m,nu,s,x,freq_ghz,family\n"

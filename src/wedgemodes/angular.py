@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 __all__ = [
     "AngularFunction",
@@ -310,6 +309,8 @@ def south_pole_coefficient(nu: float, m: float) -> SingularityFit:
         raise ValueError("fit basis requires 0 < m < 1")
     if nu < 0.0:
         raise ValueError("degree nu must be non-negative")
+    # imported here: scipy costs more to import than the rest of the package
+    from scipy.integrate import solve_ivp
 
     lam = nu * (nu + 1.0)
 

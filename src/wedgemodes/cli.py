@@ -25,9 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from . import angular, modes, report
+from . import modes, report
 from .oracle import legendre_spectrum_fd
 from .specfun import ConvergenceError, ln_gamma, legendre_theta, riccati_derivative, spherical_j
 
@@ -132,6 +130,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ladder_check(args: argparse.Namespace) -> int:
+    # imported here so that the other commands start without numpy
+    import numpy as np
+
+    from . import angular
+
     grid = angular.uniform_grid(args.grid)
     mask = angular.interior_mask(grid)
 

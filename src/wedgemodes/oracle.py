@@ -17,9 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.linalg import eigh_tridiagonal
-
 from .specfun import ln_gamma
 
 __all__ = ["EigenResult", "legendre_spectrum_fd", "bessel_series_reference"]
@@ -55,13 +52,20 @@ def legendre_spectrum_fd(m: float, grid_size: int, count: int) -> EigenResult:
     """
     if grid_size < 500:
         raise ValueError(f"grid_size must be >= 500, got {grid_size}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if not m > 0.0:
-        raise ValueError(f"m must be > 0 on the truncated interval, got {m}")
-
+    if not 1 <= count <= grid_size:
+        raise ValueError(f"count must lie in [1, grid_size = {grid_size}], got {count}")
+    if not (m > 0.0 and math.isfinite(m)):
+        raise ValueError(f"m must be finite and > 0 on the truncated interval, got {m}")
     n = int(grid_size)
     h = (math.pi - 2.0 * _FD_EPS) / (n + 1)
+    # the end nodes carry the largest diagonal entry, about m^2 / sin^2(theta_1);
+    # keeping it far below overflow keeps every lambda and nu finite
+    if not m * m / math.sin(_FD_EPS + h) ** 2 <= 1e300:
+        raise ValueError(f"m = {m:g} overflows the finite-difference operator")
+    # imported here so that importing this module, or a refusal, loads no scipy
+    import numpy as np
+    from scipy.linalg import eigh_tridiagonal
+
     theta = _FD_EPS + h * np.arange(1, n + 1)
     sin_t = np.sin(theta)
     s_minus = np.sin(theta - 0.5 * h)

@@ -232,8 +232,11 @@ def compare(
     rows with ``matched=False``.  Returns the rows in reference order plus
     the mean |deviation| against HFSS over the matched rows (0.0 if none
     matched).  ``tol`` is the relative tolerance against the tabulated
-    theory value that sets each row's ``within_tol`` flag.
+    theory value that sets each row's ``within_tol`` flag; it must be
+    finite and non-negative.
     """
+    if not (tol >= 0.0 and math.isfinite(tol)):
+        raise ValueError(f"relative tolerance must be finite and >= 0, got {tol}")
     rows: list[ComparisonRow] = []
     abs_devs: list[float] = []
     for ref in reference:

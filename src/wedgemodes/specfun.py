@@ -125,15 +125,15 @@ def _lanczos_ln_gamma(z: float) -> float:
 
 
 def ln_gamma(z: float) -> float:
-    """Natural log of the gamma function for z > 0.
+    """Natural log of the gamma function for finite z > 0.
 
     Relative error below 1e-12 across (0, 50].  A Lanczos approximation
     covers the generic range; shifted Taylor series take over near the
     zeros of ln Gamma at z = 1 and z = 2, where the Lanczos form alone
     loses relative accuracy to cancellation.
     """
-    if not z > 0.0:
-        raise ValueError(f"ln_gamma requires z > 0, got {z}")
+    if not (z > 0.0 and math.isfinite(z)):
+        raise ValueError(f"ln_gamma requires finite z > 0, got {z}")
     if abs(z - 1.0) <= 0.25:
         eps = z - 1.0
         # ln Gamma(1+e) = -ln(1+e) + e(1-gamma) + sum_k (-1)^k (zeta(k)-1) e^k / k

@@ -125,6 +125,12 @@ class TestEval:
         assert proc.returncode == 0
         assert float(proc.stdout) == pytest.approx(-1.0, rel=1e-9)
 
+    def test_log_gamma_rejects_infinity(self):
+        proc = run_cli("eval", "--fn", "ln-gamma", "--x", "inf")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+
     def test_angular_profile_needs_weight(self):
         proc = run_cli("eval", "--fn", "legendre-theta", "--nu", "0.666667", "--x", "1.0")
         assert proc.returncode == 2
@@ -139,6 +145,14 @@ class TestValidate:
         lines = proc.stdout.splitlines()
         assert lines[0] == VALIDATE_HEADER
         assert lines[1] == "27,6,6,0.4553,6,pass"
+
+    @pytest.mark.parametrize("tol_pct", ["nan", "-1"])
+    def test_rejects_unusable_tolerance(self, tol_pct):
+        # a usage error, not a validation failure (exit 1)
+        proc = run_cli("validate", "--wedge-deg", "27", "--tol-pct", tol_pct)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
 
     def test_all_blocks_summary_and_diagnostics(self, validate_all):
         lines = validate_all.stdout.splitlines()
@@ -197,3 +211,15 @@ class TestOracle:
         proc = run_cli("oracle", "--m", "0")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("args", [
+        ("--m", "0.7", "--count", "5000"),
+        ("--m", "inf"),
+        ("--m", "1e300"),
+    ], ids=["count-above-grid", "inf-weight", "overflowing-weight"])
+    def test_rejects_inputs_the_solver_cannot_take(self, args):
+        proc = run_cli("oracle", *args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr

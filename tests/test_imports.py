@@ -1,0 +1,58 @@
+"""Import boundaries: each command loads only the libraries it runs.
+
+numpy and scipy cost most of a cold ``wedgemodes`` process, so ``eval``,
+``spectrum`` and ``validate`` must not load them, ``ladder-check`` loads
+numpy only, and scipy is paid for only by the FD oracle and the south-pole
+fit.  Each check runs in a fresh interpreter and counts modules; nothing is
+timed.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def heavy_modules_after(body: str) -> list[str]:
+    """Which of numpy and scipy a fresh interpreter holds after running body."""
+    code = (
+        f"import json, sys\n{body}\n"
+        "print(json.dumps(sorted({name.split('.')[0] for name in sys.modules}"
+        " & {'numpy', 'scipy'})))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_library_imports_load_neither_numpy_nor_scipy():
+    body = "import wedgemodes.cli, wedgemodes.modes, wedgemodes.report, wedgemodes.specfun"
+    assert heavy_modules_after(body) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--fn", "sph-j", "--nu", "0.5", "--x", "2"],
+    ["spectrum", "--radius-mm", "15", "--wedge-deg", "90", "--fmax-ghz", "14"],
+    ["validate", "--wedge-deg", "27"],
+], ids=["eval", "spectrum", "validate"])
+def test_command_loads_neither_numpy_nor_scipy(argv):
+    body = f"from wedgemodes import cli\nassert cli.main({argv!r}) == 0"
+    assert heavy_modules_after(body) == []
+
+
+def test_angular_and_oracle_imports_leave_scipy_out():
+    assert "scipy" not in heavy_modules_after("import wedgemodes.angular, wedgemodes.oracle")
+
+
+def test_ladder_check_loads_numpy_only():
+    body = "from wedgemodes import cli\nassert cli.main(['ladder-check']) == 0"
+    assert heavy_modules_after(body) == ["numpy"]

@@ -86,6 +86,25 @@ class TestLegendreSpectrumFd:
         with pytest.raises(ValueError):
             legendre_spectrum_fd(0.0, 1000, 1)
 
+    def test_rejects_more_eigenvalues_than_grid_points(self):
+        with pytest.raises(ValueError, match="count"):
+            legendre_spectrum_fd(0.7, 1000, 1001)
+        assert len(legendre_spectrum_fd(0.7, 500, 500).lambdas) == 500
+
+    @pytest.mark.parametrize("m", [math.inf, math.nan])
+    def test_rejects_non_finite_weight(self, m):
+        with pytest.raises(ValueError, match="finite"):
+            legendre_spectrum_fd(m, 1000, 1)
+
+    def test_rejects_weight_that_overflows_the_operator(self):
+        with pytest.raises(ValueError, match="overflows"):
+            legendre_spectrum_fd(1e300, 1000, 1)
+        with pytest.raises(ValueError, match="overflows"):
+            legendre_spectrum_fd(1e148, 1000, 1)
+        # weights just below the refusal still give finite degrees
+        result = legendre_spectrum_fd(1e146, 1000, 1000)
+        assert all(math.isfinite(nu) for nu in result.nus)
+
     def test_agrees_with_ladder_built_eigenvalue_estimates(self):
         m = 2.0 / 3.0
         fd = legendre_spectrum_fd(m, 4000, 3)

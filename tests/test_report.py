@@ -202,6 +202,11 @@ class TestCompare:
         assert out == []
         assert mean_abs == 0.0
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -0.01])
+    def test_rejects_non_finite_or_negative_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            compare([], [], tol)
+
 
 class TestRender:
     def test_spectrum_json_is_frozen(self):

@@ -57,7 +57,7 @@ class TestLnGamma:
             # so measure against a 1e-3 floor there
             assert abs(got - ref) <= 1e-12 * max(abs(ref), 1e-3)
 
-    @pytest.mark.parametrize("z", [0.0, -1.0, -0.5])
+    @pytest.mark.parametrize("z", [0.0, -1.0, -0.5, math.inf, math.nan])
     def test_rejects_non_positive_argument(self, z):
         with pytest.raises(ValueError):
             ln_gamma(z)

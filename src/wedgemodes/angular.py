@@ -26,10 +26,11 @@ stencils scales like ``h**4 * theta**(m - 5)`` against a profile that only
 opens as ``theta**m``, so the few samples nearest the poles are unreliable
 for non-integer weights.  Norms and quadratures meant to certify operator
 identities should therefore be evaluated on the interior window
-``[POLE_MARGIN, pi - POLE_MARGIN]``; :func:`collinearity` and
-:func:`casimir_eigenvalue_estimate` do this by default.  Restricting the
-Rayleigh-quotient window is exact for eigenfunctions, since the pointwise
-identity ``L^2 f = lambda f`` holds on every subinterval.
+``[POLE_MARGIN, pi - POLE_MARGIN]``.  :func:`interior_mask` selects it,
+and :func:`collinearity` and :func:`casimir_eigenvalue_estimate` always
+integrate over it.  Restricting the Rayleigh-quotient window is exact for
+eigenfunctions, since the pointwise identity ``L^2 f = lambda f`` holds on
+every subinterval.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "POLE_CLIP",
     "POLE_MARGIN",
     "uniform_grid",
+    "interior_mask",
     "sectoral",
     "apply_raising",
     "apply_lowering",
@@ -168,9 +170,9 @@ def _derivative(values: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def interior_mask(grid: np.ndarray, margin: float = POLE_MARGIN) -> np.ndarray:
-    """Boolean mask selecting samples with theta in [margin, pi - margin]."""
-    return (grid >= margin) & (grid <= math.pi - margin)
+def interior_mask(grid: np.ndarray) -> np.ndarray:
+    """Boolean mask selecting samples with theta in [POLE_MARGIN, pi - POLE_MARGIN]."""
+    return (grid >= POLE_MARGIN) & (grid <= math.pi - POLE_MARGIN)
 
 
 def sectoral(m: float, grid: np.ndarray) -> AngularFunction:
@@ -231,17 +233,17 @@ def build_tesseral(m: float, k: int, grid: np.ndarray) -> AngularFunction:
     return f
 
 
-def casimir_eigenvalue_estimate(f: AngularFunction, margin: float = POLE_MARGIN) -> float:
+def casimir_eigenvalue_estimate(f: AngularFunction) -> float:
     """Rayleigh quotient ``<f, L2 f> / <f, f>`` with sin(theta) weight.
 
     Trapezoidal quadrature over the interior window
-    ``[margin, pi - margin]``; pass ``margin=0.0`` to integrate over the full
-    grid.  For an eigenfunction the pointwise identity makes the quotient
-    window-independent, so the default window merely discards the
-    pole-adjacent samples where the finite-difference Casimir is unreliable.
+    ``[POLE_MARGIN, pi - POLE_MARGIN]``.  For an eigenfunction the pointwise
+    identity makes the quotient window-independent, so the window merely
+    discards the pole-adjacent samples where the finite-difference Casimir
+    is unreliable.
     """
     lf = apply_casimir(f)
-    mask = interior_mask(f.theta_grid, margin)
+    mask = interior_mask(f.theta_grid)
     if np.count_nonzero(mask) < 2:
         raise ValueError("interior window holds too few samples")
     theta = f.theta_grid[mask]
@@ -253,18 +255,18 @@ def casimir_eigenvalue_estimate(f: AngularFunction, margin: float = POLE_MARGIN)
     return float(num / den)
 
 
-def collinearity(f: AngularFunction, g: AngularFunction, margin: float = POLE_MARGIN) -> float:
+def collinearity(f: AngularFunction, g: AngularFunction) -> float:
     """Cosine similarity of two profiles under the sin(theta) inner product.
 
     Both functions must share a grid.  Returns
     ``|<f, g>| / (||f|| ||g||)`` with trapezoidal quadrature over the
-    interior window ``[margin, pi - margin]``; 1 means proportional.
+    interior window ``[POLE_MARGIN, pi - POLE_MARGIN]``; 1 means proportional.
     """
     if f.theta_grid.shape != g.theta_grid.shape or not np.array_equal(
         f.theta_grid, g.theta_grid
     ):
         raise ValueError("profiles must share a theta grid")
-    mask = interior_mask(f.theta_grid, margin)
+    mask = interior_mask(f.theta_grid)
     if np.count_nonzero(mask) < 2:
         raise ValueError("interior window holds too few samples")
     theta = f.theta_grid[mask]
@@ -307,8 +309,8 @@ def south_pole_coefficient(nu: float, m: float) -> SingularityFit:
     """
     if not 0.0 < m < 1.0:
         raise ValueError("fit basis requires 0 < m < 1")
-    if nu < 0.0:
-        raise ValueError("degree nu must be non-negative")
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"degree nu must be finite and non-negative, got {nu}")
     # imported here: scipy costs more to import than the rest of the package
     from scipy.integrate import solve_ivp
 

@@ -86,7 +86,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     pols = {"te": frozenset(("TE",)), "tm": frozenset(("TM",)),
             "both": frozenset(("TM", "TE"))}[args.pol]
     records = modes.enumerate_spectrum(config, args.fmax_ghz * 1e9, pols)
-    _emit(report.render(records, args.format, kind="spectrum"))
+    _emit(report.render(records, args.format))
     return 0
 
 

@@ -111,7 +111,6 @@ class ModeId:
     k: int
     s: int
     m: float
-    nu: float
 
     def __post_init__(self) -> None:
         if self.polarisation not in ("TM", "TE"):
@@ -122,26 +121,31 @@ class ModeId:
             raise ValueError("indices must satisfy n >= 0, k >= 0, s >= 1")
         if self.m < 0.0:
             raise ValueError("azimuthal index m must be non-negative")
-        if abs(self.nu - self.m - self.k) > 1e-9:
-            raise ValueError("nu - m must equal the integer k")
+
+    @property
+    def nu(self) -> float:
+        """Angular degree ``m + k``."""
+        return self.m + self.k
 
 
 @dataclass(frozen=True, slots=True)
 class ModeRecord:
-    """A resolved mode: identity, dimensionless root ``x = ka``, frequency
-    in hertz (``f = c x / (2 pi a)`` with the exact speed of light), and
-    trichotomy family."""
+    """A resolved mode: identity, dimensionless root ``x = ka`` and frequency
+    in hertz (``f = c x / (2 pi a)`` with the exact speed of light); its
+    trichotomy family follows from the identity."""
 
     id: ModeId
     x: float
     freq_hz: float
-    family: str
 
     def __post_init__(self) -> None:
         if self.x <= 0.0 or self.freq_hz <= 0.0:
             raise ValueError("root and frequency must be positive")
-        if self.family not in ("sectoral", "tesseral", "zonal"):
-            raise ValueError("family must be sectoral, tesseral or zonal")
+
+    @property
+    def family(self) -> str:
+        """Trichotomy family of the mode, :func:`classify` of its id."""
+        return classify(self.id)
 
 
 def azimuthal_index(n: int, config: WedgeConfig) -> float:
@@ -192,7 +196,14 @@ def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]
     has passed ``x_cap``, or the next point would pass the ``x = 40``
     window.  The list may hold roots beyond ``count`` or above ``x_cap``
     from earlier scans; it is the memo itself, so callers must not modify it.
+
+    A tower with ``nu >= x_cap`` has no root up to the cap and is not
+    scanned: ``u = x j_nu(x)`` solves ``u'' = (nu (nu + 1) / x**2 - 1) u``,
+    so ``u`` and ``u'`` stay positive up to ``x = sqrt(nu (nu + 1)) >= nu``,
+    and the leading series term of a large order would underflow there.
     """
+    if nu >= x_cap:
+        return []
     func = spherical_j if pol == "TE" else riccati_derivative
     with _TOWERS_LOCK:
         tower = _TOWERS.get((pol, nu))
@@ -214,8 +225,8 @@ def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]
 
 
 def _root(pol: str, nu: float, s: int) -> float:
-    if nu < 0.0:
-        raise ValueError("order nu must be non-negative")
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"order nu must be finite and non-negative, got {nu}")
     if s < 1:
         raise ValueError("root index s counts from 1")
     roots = _tower_roots(pol, nu, s, BESSEL_X_MAX)
@@ -298,12 +309,10 @@ def enumerate_spectrum(
             while xs := [
                 x for x in _tower_roots(pol, m + k, math.inf, x_cap) if x <= x_cap
             ]:
-                nu = m + k
-                if not (pol == "TE" and null_field_check(nu, m)):
+                if not (pol == "TE" and null_field_check(m + k, m)):
                     for s, x in enumerate(xs, 1):
-                        mode = ModeId(polarisation=pol, n=n, k=k, s=s, m=m, nu=nu)
-                        freq_hz = frequency(x, config.radius_a)
-                        records.append(ModeRecord(mode, x, freq_hz, classify(mode)))
+                        mode = ModeId(polarisation=pol, n=n, k=k, s=s, m=m)
+                        records.append(ModeRecord(mode, x, frequency(x, config.radius_a)))
                 k += 1
             if k == 0:
                 break

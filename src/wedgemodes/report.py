@@ -10,11 +10,13 @@ tabulated finite-element (HFSS) frequency.
 quantum numbers — polarisation, azimuthal index within 1e-3, and lowering
 count — so a degenerate pair of reference rows with equal quantum numbers
 both match the same theory record, and a reference row with no computed
-counterpart becomes a failure row rather than an exception.
+counterpart becomes a failure row (no computed values, so not ``matched``)
+rather than an exception.
 
 :func:`render` serializes spectra, comparisons, or reference rows to CSV or
-JSON with stable field order and formatting (frequencies carry six
-significant digits), so identical inputs produce byte-identical output.
+JSON, telling them apart by the type of the first item, with stable field
+order and formatting (frequencies carry six significant digits), so
+identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -33,14 +35,11 @@ from .modes import ModeRecord
 __all__ = [
     "ReferenceRow",
     "ComparisonRow",
-    "GeometryRow",
-    "GEOMETRY",
     "ReferenceIntegrityError",
     "load_reference",
     "block_reference",
     "compare",
     "render",
-    "parse_reference_csv",
 ]
 
 #: SHA-256 of the embedded reference resource ``data/reference_tables.csv``.
@@ -83,50 +82,28 @@ class ComparisonRow:
     ``dev_vs_theory`` and ``dev_vs_hfss`` are signed relative deviations of
     the computed frequency against the tabulated theory and HFSS values,
     with the ``(f - f_ref) / f_ref`` convention.  For an unmatched
-    (missing-mode) row the computed fields are ``None`` and ``matched`` is
-    False.
+    (missing-mode) row the three computed fields are ``None``.
     """
 
     reference: ReferenceRow
     f_computed_ghz: float | None
     dev_vs_theory: float | None
     dev_vs_hfss: float | None
-    matched: bool = True
     within_tol: bool = False
 
     def __post_init__(self) -> None:
         fields = (self.f_computed_ghz, self.dev_vs_theory, self.dev_vs_hfss)
-        if self.matched:
-            if any(v is None or not math.isfinite(v) for v in fields):
-                raise ValueError("matched rows require finite computed values")
-        elif any(v is not None for v in fields):
-            raise ValueError("unmatched rows must leave computed fields empty")
+        if not (
+            all(v is None for v in fields)
+            or all(v is not None and math.isfinite(v) for v in fields)
+        ):
+            raise ValueError("computed values must be all None or all finite")
 
+    @property
+    def matched(self) -> bool:
+        """Whether a computed record matched the reference row."""
+        return self.f_computed_ghz is not None
 
-@dataclass(frozen=True)
-class GeometryRow:
-    """One cavity geometry: wedge opening, azimuthal domain, fundamental m."""
-
-    wedge_deg: float
-    opening_deg: float
-    fundamental_m: float
-
-    def __post_init__(self) -> None:
-        if abs(self.wedge_deg + self.opening_deg - 360.0) > 1e-9:
-            raise ValueError("wedge and domain openings must add up to 360 degrees")
-        if abs(self.fundamental_m - 180.0 / self.opening_deg) > 5e-7:
-            raise ValueError("fundamental m must equal 180/opening_deg")
-
-
-#: The examined cavity geometries: wedge opening, azimuthal domain
-#: ``360 - wedge``, and the fundamental azimuthal index ``180 / opening``.
-GEOMETRY: tuple[GeometryRow, ...] = (
-    GeometryRow(27.0, 333.0, 0.540541),
-    GeometryRow(47.0, 313.0, 0.575080),
-    GeometryRow(73.0, 287.0, 0.627178),
-    GeometryRow(90.0, 270.0, 0.666667),
-    GeometryRow(180.0, 180.0, 1.000000),
-)
 
 _REFERENCE_FIELDS = (
     "wedge_deg",
@@ -172,7 +149,7 @@ def _reference_csv_row(row: ReferenceRow) -> list[str]:
     ]
 
 
-def parse_reference_csv(data: bytes) -> list[ReferenceRow]:
+def _parse_reference_csv(data: bytes) -> list[ReferenceRow]:
     """Parse reference rows from CSV bytes (schema of ``reference_tables.csv``)."""
     text = data.decode("utf-8")
     reader = csv.DictReader(io.StringIO(text))
@@ -198,8 +175,7 @@ def parse_reference_csv(data: bytes) -> list[ReferenceRow]:
 def load_reference() -> list[ReferenceRow]:
     """All 30 embedded mode rows (five configurations, six modes each).
 
-    Verifies the resource checksum before parsing; the cavity geometries
-    behind the ``wedge_deg`` column are available as :data:`GEOMETRY`.
+    Verifies the resource checksum before parsing.
     """
     data = (resources.files("wedgemodes") / "data" / "reference_tables.csv").read_bytes()
     digest = hashlib.sha256(data).hexdigest()
@@ -207,7 +183,7 @@ def load_reference() -> list[ReferenceRow]:
         raise ReferenceIntegrityError(
             f"reference data checksum mismatch: {digest} != {_REFERENCE_SHA256}"
         )
-    return parse_reference_csv(data)
+    return _parse_reference_csv(data)
 
 
 def block_reference(wedge_deg: float) -> list[ReferenceRow]:
@@ -229,7 +205,7 @@ def compare(
     several records qualify (e.g. multiple radial indices), the one closest
     in frequency to the row's HFSS value is taken, and several rows may
     share one record (degenerate pairs).  Unmatched rows become failure
-    rows with ``matched=False``.  Returns the rows in reference order plus
+    rows with no computed values.  Returns the rows in reference order plus
     the mean |deviation| against HFSS over the matched rows (0.0 if none
     matched).  ``tol`` is the relative tolerance against the tabulated
     theory value that sets each row's ``within_tol`` flag; it must be
@@ -254,8 +230,6 @@ def compare(
                     f_computed_ghz=None,
                     dev_vs_theory=None,
                     dev_vs_hfss=None,
-                    matched=False,
-                    within_tol=False,
                 )
             )
             continue
@@ -272,7 +246,6 @@ def compare(
                 f_computed_ghz=f_ghz,
                 dev_vs_theory=dev_theory,
                 dev_vs_hfss=dev_hfss,
-                matched=True,
                 within_tol=abs(dev_theory) <= tol,
             )
         )
@@ -361,38 +334,26 @@ def _comparison_csv_row(row: ComparisonRow) -> list[str]:
     return cells
 
 
-def render(items, fmt: str, kind: str | None = None) -> bytes:
+def render(items, fmt: str) -> bytes:
     """Serialize records to UTF-8 CSV or JSON bytes.
 
     ``items`` may hold :class:`~wedgemodes.modes.ModeRecord` (a spectrum),
-    :class:`ComparisonRow`, or :class:`ReferenceRow` elements; ``kind``
-    (``"spectrum"``, ``"comparison"`` or ``"reference"``) overrides the
-    inference, which an empty list needs only if it is not a spectrum.
+    :class:`ComparisonRow`, or :class:`ReferenceRow` elements, told apart
+    by the type of the first; an empty list renders as an empty spectrum.
     Output is deterministic: stable field order, six significant digits on
     frequencies and roots.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format: {fmt!r} (expected 'csv' or 'json')")
     items = list(items)
-    if kind is None:
-        if not items:
-            kind = "spectrum"
-        elif isinstance(items[0], ModeRecord):
-            kind = "spectrum"
-        elif isinstance(items[0], ComparisonRow):
-            kind = "comparison"
-        elif isinstance(items[0], ReferenceRow):
-            kind = "reference"
-        else:
-            raise ValueError(f"cannot render {type(items[0]).__name__} items")
-    try:
-        header, to_csv, to_json = {
-            "spectrum": (_SPECTRUM_FIELDS, _spectrum_csv_row, _spectrum_json_obj),
-            "comparison": (_COMPARISON_FIELDS, _comparison_csv_row, _comparison_json_obj),
-            "reference": (_REFERENCE_FIELDS, _reference_csv_row, _reference_json_obj),
-        }[kind]
-    except KeyError:
-        raise ValueError(f"unknown render kind: {kind!r}") from None
+    if not items or isinstance(items[0], ModeRecord):
+        header, to_csv, to_json = _SPECTRUM_FIELDS, _spectrum_csv_row, _spectrum_json_obj
+    elif isinstance(items[0], ComparisonRow):
+        header, to_csv, to_json = _COMPARISON_FIELDS, _comparison_csv_row, _comparison_json_obj
+    elif isinstance(items[0], ReferenceRow):
+        header, to_csv, to_json = _REFERENCE_FIELDS, _reference_csv_row, _reference_json_obj
+    else:
+        raise ValueError(f"cannot render {type(items[0]).__name__} items")
 
     if fmt == "csv":
         buf = io.StringIO()

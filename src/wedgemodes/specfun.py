@@ -5,24 +5,23 @@ precision: log-gamma, the cylinder Bessel function J of real order, the
 spherical Bessel function j_nu, the Riccati-Bessel derivative d/dx[x j_nu],
 and the associated-Legendre theta-solution regular at the north pole.
 
+Both power series stop once a term falls below 1e-15 of the partial sum
+and raise ConvergenceError if that takes more than 200 terms.
+
 Public surface:
-    SeriesControl      -- truncation control for the power series
     ConvergenceError   -- raised when a series fails to settle
     ln_gamma(z)
-    bessel_j(order, x, ctl)
+    bessel_j(order, x)
     spherical_j(nu, x)
     riccati_derivative(nu, x)
-    legendre_theta(nu, m, theta, ctl)
+    legendre_theta(nu, m, theta)
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "SeriesControl",
     "ConvergenceError",
-    "DEFAULT_SERIES",
     "ln_gamma",
     "bessel_j",
     "spherical_j",
@@ -32,26 +31,13 @@ __all__ = [
 
 BESSEL_X_MAX = 40.0
 
+_SERIES_MAX_TERMS = 200
+_SERIES_REL_TOL = 1e-15
+
 
 class ConvergenceError(ArithmeticError):
-    """A power series did not reach the requested tolerance within max_terms."""
+    """A power series did not reach its tolerance within its term limit."""
 
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation control for power-series evaluation."""
-
-    max_terms: int = 200
-    rel_tol: float = 1e-15
-
-    def __post_init__(self) -> None:
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-
-
-DEFAULT_SERIES = SeriesControl()
 
 # ---------------------------------------------------------------------------
 # log-gamma
@@ -152,33 +138,33 @@ def ln_gamma(z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def bessel_j(order: float, x: float, ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def bessel_j(order: float, x: float) -> float:
     """J_order(x) by the ascending power series with compensated summation.
 
     J_a(x) = sum_k (-1)^k (x/2)^(2k+a) / (k! Gamma(k+a+1)), valid for any
     real order > -1; callers use order >= 0.  Terms are generated by the
     two-step recurrence t_{k} = -t_{k-1} * (x/2)^2 / (k (k+a)) and summed
-    with Kahan compensation until |term| < rel_tol * |sum|.
+    with Kahan compensation until |term| < 1e-15 * |sum|.
     """
     if not 0.0 < x <= BESSEL_X_MAX:
         raise ValueError(f"bessel_j domain is 0 < x <= {BESSEL_X_MAX}, got x={x}")
-    if order <= -1.0:
+    if not order > -1.0:
         raise ValueError(f"bessel_j requires order > -1, got {order}")
     half_x = 0.5 * x
     q = half_x * half_x
     term = math.exp(order * math.log(half_x) - ln_gamma(order + 1.0))
     total = term
     comp = 0.0
-    for k in range(1, ctl.max_terms + 1):
+    for k in range(1, _SERIES_MAX_TERMS + 1):
         term = -term * q / (k * (k + order))
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        if abs(term) < ctl.rel_tol * abs(total):
+        if abs(term) < _SERIES_REL_TOL * abs(total):
             return total
     raise ConvergenceError(
-        f"J_{order}({x}) did not converge within {ctl.max_terms} terms"
+        f"J_{order}({x}) did not converge within {_SERIES_MAX_TERMS} terms"
     )
 
 
@@ -201,7 +187,7 @@ def riccati_derivative(nu: float, x: float) -> float:
     which is j_nu + x j_nu' with j_nu' = j_{nu-1} - ((nu+1)/x) j_nu reduced
     so that only orders >= 1/2 are evaluated.
     """
-    if nu < 0.0:
+    if not nu >= 0.0:
         raise ValueError(f"riccati_derivative requires nu >= 0, got {nu}")
     if not 0.0 < x <= BESSEL_X_MAX:
         raise ValueError(
@@ -218,9 +204,7 @@ def riccati_derivative(nu: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def legendre_theta(
-    nu: float, m: float, theta: float, ctl: SeriesControl = DEFAULT_SERIES
-) -> float:
+def legendre_theta(nu: float, m: float, theta: float) -> float:
     """The solution of the theta-equation regular at the north pole.
 
     Solves (1/sin t)(sin t f')' + [nu(nu+1) - m^2/sin^2 t] f = 0 for the
@@ -238,8 +222,8 @@ def legendre_theta(
     """
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
-    if m < 0.0 or nu < 0.0:
-        raise ValueError(f"nu and m must be >= 0, got nu={nu}, m={m}")
+    if not (0.0 <= m < math.inf and 0.0 <= nu < math.inf):
+        raise ValueError(f"nu and m must be finite and >= 0, got nu={nu}, m={m}")
     sin_half = math.sin(0.5 * theta)
     u = sin_half * sin_half
     a = m - nu
@@ -248,15 +232,15 @@ def legendre_theta(
     term = 1.0
     total = 1.0
     comp = 0.0
-    for j in range(ctl.max_terms):
+    for j in range(_SERIES_MAX_TERMS):
         term *= (j + a) * (j + b) * u / ((j + c) * (j + 1.0))
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        if abs(term) < ctl.rel_tol * abs(total):
+        if abs(term) < _SERIES_REL_TOL * abs(total):
             return math.sin(theta) ** m * total
     raise ConvergenceError(
         f"legendre_theta(nu={nu}, m={m}) series did not converge at "
-        f"theta={theta} within {ctl.max_terms} terms"
+        f"theta={theta} within {_SERIES_MAX_TERMS} terms"
     )

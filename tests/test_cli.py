@@ -79,6 +79,21 @@ class TestSpectrum:
         digest = hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
         assert digest.startswith("df212b1c6cb0582f")
 
+    def test_narrow_domain_lists_only_zonal_modes(self):
+        # a 0.5 degree domain puts m = 360 n far above the cap x = 6.29 of
+        # 20 GHz, so only the two zonal TE roots below the cap remain
+        proc = run_cli(
+            "spectrum", "--radius-mm", "15", "--wedge-deg", "359.5",
+            "--fmax-ghz", "20",
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        rows = proc.stdout.splitlines()[1:]
+        assert [row.split(",")[:3] + row.split(",")[5:7] for row in rows] == [
+            ["TE", "0", "1", "1", "4.49341"],
+            ["TE", "0", "2", "1", "5.76346"],
+        ]
+
     def test_cap_beyond_root_window_is_reported(self):
         for radius_mm, fmax_ghz in (("15", "400"), ("15", "nan"), ("nan", "14")):
             proc = run_cli(

@@ -13,18 +13,17 @@ from wedgemodes.modes import (
     ModeId,
     ModeRecord,
     WedgeConfig,
+    azimuthal_index,
     enumerate_spectrum,
 )
 from wedgemodes.report import (
-    GEOMETRY,
     ComparisonRow,
-    GeometryRow,
     ReferenceIntegrityError,
     ReferenceRow,
+    _parse_reference_csv,
     block_reference,
     compare,
     load_reference,
-    parse_reference_csv,
     render,
 )
 from wedgemodes.specfun import riccati_derivative, spherical_j
@@ -36,12 +35,9 @@ def synthetic_record(
     row: ReferenceRow, freq_hz: float, s: int = 1, n: int = 1
 ) -> ModeRecord:
     """A mode record with the row's quantum numbers at a chosen frequency."""
-    mode = ModeId(
-        polarisation=row.polarisation, n=n, k=row.k, s=s, m=row.m, nu=row.nu
-    )
+    mode = ModeId(polarisation=row.polarisation, n=n, k=row.k, s=s, m=row.m)
     x = 2.0 * math.pi * RADIUS * freq_hz / SPEED_OF_LIGHT
-    family = "sectoral" if row.k == 0 else "tesseral"
-    return ModeRecord(id=mode, x=x, freq_hz=freq_hz, family=family)
+    return ModeRecord(id=mode, x=x, freq_hz=freq_hz)
 
 
 class TestLoadReference:
@@ -82,7 +78,7 @@ class TestLoadReference:
 
     def test_parse_rejects_foreign_header(self):
         with pytest.raises(ReferenceIntegrityError):
-            parse_reference_csv(b"a,b,c\n1,2,3\n")
+            _parse_reference_csv(b"a,b,c\n1,2,3\n")
 
     def test_render_round_trips_the_resource(self):
         from importlib import resources
@@ -91,29 +87,18 @@ class TestLoadReference:
             resources.files("wedgemodes") / "data" / "reference_tables.csv"
         ).read_bytes()
         rows = load_reference()
-        rendered = render(rows, "csv", kind="reference")
+        rendered = render(rows, "csv")
         assert rendered == data
-        assert parse_reference_csv(rendered) == rows
+        assert _parse_reference_csv(rendered) == rows
 
 
 class TestGeometry:
-    def test_five_geometries(self):
-        assert [g.wedge_deg for g in GEOMETRY] == [27.0, 47.0, 73.0, 90.0, 180.0]
-        for g in GEOMETRY:
-            assert g.opening_deg == 360.0 - g.wedge_deg
-
     def test_fundamental_matches_reference_blocks(self):
-        for g in GEOMETRY:
-            first = block_reference(g.wedge_deg)[0]
-            assert first.m == pytest.approx(g.fundamental_m, abs=1e-6)
-
-    def test_rejects_openings_not_summing_to_circle(self):
-        with pytest.raises(ValueError):
-            GeometryRow(90.0, 180.0, 1.0)
-
-    def test_rejects_wrong_fundamental(self):
-        with pytest.raises(ValueError):
-            GeometryRow(90.0, 270.0, 0.7)
+        # each block opens with the fundamental m = 180 / (360 - wedge)
+        for wedge in (27.0, 47.0, 73.0, 90.0, 180.0):
+            first = block_reference(wedge)[0]
+            cfg = WedgeConfig.from_degrees(wedge, RADIUS)
+            assert first.m == pytest.approx(azimuthal_index(1, cfg), abs=1e-6)
 
 
 class TestRowValidation:
@@ -130,26 +115,20 @@ class TestRowValidation:
             ReferenceRow(90.0, 1, "TM", 0.666667, 0, 0.666667, 0.0, 7.5)
 
     def test_comparison_matched_requires_values(self):
+        # a computed frequency makes the row matched, so its deviations
+        # must be present and finite
         ref = block_reference(90.0)[0]
-        with pytest.raises(ValueError):
-            ComparisonRow(
-                reference=ref,
-                f_computed_ghz=None,
-                dev_vs_theory=None,
-                dev_vs_hfss=None,
-                matched=True,
-            )
+        for devs in ((None, None), (0.01, math.nan)):
+            with pytest.raises(ValueError):
+                ComparisonRow(ref, 7.5, *devs)
+        assert ComparisonRow(ref, 7.5, 0.01, 0.02).matched
 
     def test_comparison_unmatched_requires_empty_values(self):
+        # no computed frequency leaves the row unmatched: no deviations either
         ref = block_reference(90.0)[0]
         with pytest.raises(ValueError):
-            ComparisonRow(
-                reference=ref,
-                f_computed_ghz=7.5,
-                dev_vs_theory=None,
-                dev_vs_hfss=None,
-                matched=False,
-            )
+            ComparisonRow(ref, None, 0.01, 0.02)
+        assert not ComparisonRow(ref, None, None, None).matched
 
 
 class TestCompare:
@@ -252,7 +231,6 @@ class TestRender:
             f_computed_ghz=None,
             dev_vs_theory=None,
             dev_vs_hfss=None,
-            matched=False,
         )
         line = render([row], "csv").decode().splitlines()[1]
         assert line.endswith(",,,false")
@@ -264,7 +242,6 @@ class TestRender:
             f_computed_ghz=None,
             dev_vs_theory=None,
             dev_vs_hfss=None,
-            matched=False,
         )
         import json
 
@@ -274,7 +251,7 @@ class TestRender:
         assert obj["dev_vs_theory_pct"] is None
 
     def test_reference_json_is_frozen(self):
-        got = render(load_reference(), "json", kind="reference")
+        got = render(load_reference(), "json")
         assert got.startswith(
             b'[{"wedge_deg":27.0,"mode_index":1,"pol":"TM","m":0.540541,"k":0,'
             b'"nu":0.540541,"f_theory_ghz":7.04,"f_hfss_ghz":7.043},'
@@ -291,10 +268,6 @@ class TestRender:
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError):
             render([], "yaml")
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            render([], "csv", kind="tables")
 
     def test_rejects_foreign_items(self):
         with pytest.raises(ValueError):

@@ -16,10 +16,13 @@ algebra as numerical operators acting on sampled profiles ``f(theta)``:
   eigenvalue ``(m + k)(m + k + 1)``.
 * :func:`casimir_eigenvalue_estimate` recovers that eigenvalue as a
   sin-weighted Rayleigh quotient.
-* :func:`south_pole_coefficient` integrates the weight-``m`` Legendre
-  equation from regular data at the north pole and fits the two Frobenius
-  branches ``(pi - theta)**(+m)`` and ``(pi - theta)**(-m)`` at the south
-  pole, quantifying the regular/singular dichotomy in ``nu - m``.
+* :func:`south_pole_coefficient` returns, in closed form, the amplitudes
+  of the two Frobenius branches ``(pi - theta)**(+m)`` and
+  ``(pi - theta)**(-m)`` at the south pole of the solution regular at the
+  north pole.  Gauss's connection formula (DLMF 15.10.21) puts a factor
+  ``1/Gamma(m - nu)`` on the singular amplitude, which vanishes exactly when
+  ``nu - m`` is a non-negative integer: the regular/singular dichotomy in
+  ``nu - m`` is an identity, not a fit.
 
 Finite-difference caveat: on a uniform grid the truncation error of the
 stencils scales like ``h**4 * theta**(m - 5)`` against a profile that only
@@ -39,6 +42,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .specfun import _rgamma, ln_gamma
 
 __all__ = [
     "AngularFunction",
@@ -69,14 +74,6 @@ POLE_CLIP = 1e-4
 POLE_MARGIN = 0.1
 
 _MIN_GRID = 16
-
-# south_pole_coefficient: ODE launch point, integration terminus, and the
-# least-squares fitting window (inside the Frobenius radius at theta = pi,
-# outside the integration endpoint).
-_ODE_START = 1e-3
-_FIT_NEAR = 0.01
-_FIT_FAR = 0.2
-_FIT_POINTS = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,20 +113,14 @@ class AngularFunction:
 
 @dataclass(frozen=True)
 class SingularityFit:
-    """Least-squares amplitudes of the two Frobenius branches at theta = pi.
+    """Amplitudes of the two Frobenius branches at theta = pi.
 
     ``a_reg`` multiplies the regular branch ``(pi - theta)**m``, ``b_sing``
-    the singular branch ``(pi - theta)**(-m)``.  ``residual`` is the relative
-    root-mean-square misfit of the two-branch model over the fitting window.
+    the singular branch ``(pi - theta)**(-m)``.
     """
 
     a_reg: float
     b_sing: float
-    residual: float
-
-    def __post_init__(self) -> None:
-        if self.residual < 0.0:
-            raise ValueError("residual must be non-negative")
 
 
 def uniform_grid(size: int) -> np.ndarray:
@@ -282,66 +273,41 @@ def collinearity(f: AngularFunction, g: AngularFunction) -> float:
 
 
 def south_pole_coefficient(nu: float, m: float) -> SingularityFit:
-    """Launch the regular north-pole solution and fit both branches at pi.
+    """Amplitudes at theta = pi of the solution regular at the north pole.
 
-    Integrates the weight-``m`` Legendre equation
+    ``legendre_theta(nu, m, theta)`` is ``(sin theta)**m F(a, b; c; u)``
+    with ``a = m - nu``, ``b = m + nu + 1``, ``c = m + 1`` and
+    ``u = sin**2(theta/2)``.  Gauss's connection formula (DLMF 15.8(ii),
+    15.10.21) continues ``F`` to ``u = 1``, where ``c - a - b = -m``; with
+    ``w = pi - theta`` and ``1 - u ~ w**2 / 4`` it gives
 
-        f'' + cot(theta) f' + (nu(nu+1) - m**2/sin**2(theta)) f = 0
+        f ~ a_reg w**m + b_sing w**(-m),
+        a_reg  = Gamma(m+1) Gamma(-m) / (Gamma(nu+1) Gamma(-nu)),
+        b_sing = 4**m Gamma(m+1) Gamma(m) / (Gamma(m-nu) Gamma(m+nu+1)).
 
-    from ``theta = 1e-3`` with the regular initial data ``f = theta**m``,
-    ``f' = m theta**(m-1)`` (adaptive RK45, relative tolerance 1e-10), then
-    least-squares fits ``a_reg (pi-theta)**m + b_sing (pi-theta)**(-m)``
-    over 50 samples of ``theta in [pi - 0.2, pi - 0.01]``.  A vanishing
-    ``b_sing`` signals a solution regular at both poles, which occurs
-    exactly when ``nu - m`` is a non-negative integer.
+    ``1/Gamma(m - nu)`` vanishes exactly when ``nu - m`` is a non-negative
+    integer, which is the paper's condition for the series to terminate:
+    the solution is then regular at both poles, and otherwise it diverges
+    like ``w**(-m)``.  Each pair ``1/(Gamma(z) Gamma(1 - z)) =
+    sin(pi z) / pi`` (DLMF 5.5.3) only changes sign when ``z`` moves by one,
+    so it is taken at the fractional part of ``nu`` and no gamma function
+    of a large argument overflows; the ``ln_gamma`` difference that remains
+    bounds the relative error of ``b_sing`` by about ``nu ln(nu) 1e-16``.
 
-    Each Frobenius branch at theta = pi is really a power times a function
-    analytic in ``(pi - theta)**2``.  Fitting the two bare powers alone
-    leaves that analytic correction (a few percent across the window) to be
-    absorbed by the amplitudes, polluting ``b_sing`` at the 1e-4 level and
-    washing out the dichotomy; the design matrix therefore carries two
-    correction orders per branch, ``w**(p+2)`` and ``w**(p+4)``, while
-    ``a_reg`` and ``b_sing`` remain the leading-power amplitudes.
-
-    Restricted to ``0 < m < 1`` so that the two exponents ``+m`` and ``-m``
-    straddle zero and the branches are cleanly distinguishable on the
-    fitting window.
+    Restricted to ``0 < m < 1``, where neither ``c`` nor ``c - a - b`` is
+    an integer and no branch is logarithmic.
     """
     if not 0.0 < m < 1.0:
-        raise ValueError("fit basis requires 0 < m < 1")
+        raise ValueError(f"weight m must lie in (0, 1), got {m}")
     if not 0.0 <= nu < math.inf:
         raise ValueError(f"degree nu must be finite and non-negative, got {nu}")
-    # imported here: scipy costs more to import than the rest of the package
-    from scipy.integrate import solve_ivp
-
-    lam = nu * (nu + 1.0)
-
-    def rhs(theta: float, y: np.ndarray) -> list[float]:
-        sin_t = math.sin(theta)
-        cot = math.cos(theta) / sin_t
-        return [y[1], -cot * y[1] - (lam - m**2 / sin_t**2) * y[0]]
-
-    theta_fit = np.linspace(math.pi - _FIT_FAR, math.pi - _FIT_NEAR, _FIT_POINTS)
-    y0 = [_ODE_START**m, m * _ODE_START ** (m - 1.0)]
-    sol = solve_ivp(
-        rhs,
-        (_ODE_START, math.pi - _FIT_NEAR),
-        y0,
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-13,
-        t_eval=theta_fit,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise RuntimeError(f"pole-to-pole integration failed: {sol.message}")
-
-    w = math.pi - sol.t
-    design = np.column_stack(
-        (w**m, w ** (m + 2.0), w ** (m + 4.0), w ** (-m), w ** (2.0 - m), w ** (4.0 - m))
-    )
-    coef, *_ = np.linalg.lstsq(design, sol.y[0], rcond=None)
-    misfit = design @ coef - sol.y[0]
-    scale = float(np.linalg.norm(sol.y[0]))
-    residual = float(np.linalg.norm(misfit)) / scale if scale > 0.0 else 0.0
-    return SingularityFit(a_reg=float(coef[0]), b_sing=float(coef[3]), residual=residual)
+    n = math.floor(nu)
+    r = nu - n
+    sign = -1.0 if n % 2 else 1.0
+    gamma_m1 = math.exp(ln_gamma(m + 1.0))
+    # 1/(Gamma(nu+1) Gamma(-nu)) = (-1)**n / (Gamma(1+r) Gamma(-r))
+    a_reg = sign * gamma_m1 / _rgamma(-m) * _rgamma(1.0 + r) * _rgamma(-r)
+    # 1/Gamma(m-nu) = (-1)**n Gamma(1+nu-m) / (Gamma(m-r) Gamma(1-m+r))
+    b = sign * gamma_m1 * math.exp(ln_gamma(m)) * _rgamma(m - r) * _rgamma(1.0 - m + r)
+    b *= math.exp(ln_gamma(1.0 + nu - m) - ln_gamma(1.0 + nu + m))
+    return SingularityFit(a_reg=a_reg, b_sing=4.0**m * b)

@@ -249,8 +249,8 @@ def tm_root(nu: float, s: int) -> float:
 
 def frequency(x: float, radius_a: float) -> float:
     """Resonant frequency in hertz for a dimensionless root ``x = ka``."""
-    if not (x > 0.0 and radius_a > 0.0):
-        raise ValueError("root and radius must be positive")
+    if not (0.0 < x < math.inf and 0.0 < radius_a < math.inf):
+        raise ValueError("root and radius must be positive and finite")
     return SPEED_OF_LIGHT * x / (2.0 * math.pi * radius_a)
 
 

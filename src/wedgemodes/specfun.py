@@ -133,6 +133,22 @@ def ln_gamma(z: float) -> float:
     return _lanczos_ln_gamma(z)
 
 
+def _rgamma(z: float) -> float:
+    """1/Gamma(z) for finite real z, exactly 0 at z = 0, -1, -2, ...
+
+    For z <= 0 the reflection 1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi
+    (DLMF 5.5.3) is used, with sin(pi z) taken at the offset of z from the
+    nearest integer so that it keeps full relative accuracy next to a zero.
+    """
+    if z > 0.0:
+        return math.exp(-ln_gamma(z))
+    n = round(z)
+    if z == n:
+        return 0.0
+    sin_pi_z = math.sin(math.pi * (z - n)) * (-1.0 if n % 2 else 1.0)
+    return sin_pi_z * math.exp(ln_gamma(1.0 - z)) / math.pi
+
+
 # ---------------------------------------------------------------------------
 # Bessel J of real order, ascending series
 # ---------------------------------------------------------------------------

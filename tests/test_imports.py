@@ -2,9 +2,8 @@
 
 numpy and scipy cost most of a cold ``wedgemodes`` process, so ``eval``,
 ``spectrum`` and ``validate`` must not load them, ``ladder-check`` loads
-numpy only, and scipy is paid for only by the FD oracle and the south-pole
-fit.  Each check runs in a fresh interpreter and counts modules; nothing is
-timed.
+numpy only, and scipy is paid for only by the FD oracle.  Each check runs
+in a fresh interpreter and counts modules; nothing is timed.
 """
 
 from __future__ import annotations
@@ -51,6 +50,11 @@ def test_command_loads_neither_numpy_nor_scipy(argv):
 
 def test_angular_and_oracle_imports_leave_scipy_out():
     assert "scipy" not in heavy_modules_after("import wedgemodes.angular, wedgemodes.oracle")
+
+
+def test_south_pole_coefficient_leaves_scipy_out():
+    body = "from wedgemodes import angular\nangular.south_pole_coefficient(7 / 6, 2 / 3)"
+    assert "scipy" not in heavy_modules_after(body)
 
 
 def test_ladder_check_loads_numpy_only():

@@ -252,6 +252,10 @@ class TestFrequency:
             frequency(2.0, 0.0)
         with pytest.raises(ValueError):
             frequency(2.0, math.nan)
+        with pytest.raises(ValueError):
+            frequency(2.0, math.inf)
+        with pytest.raises(ValueError):
+            frequency(math.inf, RADIUS)
 
 
 class TestClassify:

@@ -56,6 +56,16 @@ class TestLnGamma:
             ln_gamma(z)
 
 
+class TestReciprocalGamma:
+    @pytest.mark.parametrize("z", [-0.3, -1.7, -5.5, -0.999, -3.001, 0.3, 1.0, 2.5, 7.2, 30.0])
+    def test_agrees_with_math_gamma(self, z):
+        assert specfun._rgamma(z) == pytest.approx(1.0 / math.gamma(z), rel=1e-13)
+
+    @pytest.mark.parametrize("z", [0.0, -1.0, -2.0])
+    def test_vanishes_at_non_positive_integers(self, z):
+        assert specfun._rgamma(z) == 0.0
+
+
 class TestBesselJ:
     def test_half_order_closed_form(self):
         # J_{1/2}(x) = sqrt(2/(pi x)) sin(x); at x = pi/2 this is 2/pi

@@ -19,10 +19,15 @@ field, so the enumerator never emits it.
 Roots are located by a fixed-step scan (step 0.05 — consecutive roots of
 interest are separated by more than one unit, so no sign change can be
 skipped) refined by bisection to a relative width of 1e-12, giving
-deterministic, reproducible spectra.  Each (polarisation, nu) tower is
-scanned once: a memo keeps its roots and the point where its scan stopped,
-and later requests resume the scan there, so a root is the same float
-however it was first reached.
+deterministic, reproducible spectra.  The scan runs on the grid
+``0.05 + 0.05 + ...`` accumulated by addition, but a tower's first
+evaluation is at the last grid point below its turning point
+``sqrt(nu (nu + 1))``: no root lies below it (see :func:`_tower_roots`).
+Each (polarisation, nu) tower is scanned once: a memo keeps its roots and
+the point where its scan stopped, and later requests resume the scan
+there, so a root is the same float however it was first reached.  The
+memo holds at most ``_TOWERS_MAX`` towers and drops the least recently
+used; a dropped tower is rescanned from the same start, to the same floats.
 """
 
 from __future__ import annotations
@@ -183,9 +188,13 @@ class _Tower:
         self.f = f
 
 
-#: Every tower scanned so far, keyed by (polarisation, nu).  The lock keeps
-#: two threads resuming one tower from appending the same root twice.
+#: The towers scanned most recently, keyed by (polarisation, nu), oldest
+#: use first: a request re-inserts its tower, and past ``_TOWERS_MAX``
+#: entries the oldest is dropped.  One ``enumerate_spectrum`` at x_cap 11
+#: touches a few hundred towers.  The lock keeps two threads resuming one
+#: tower from appending the same root twice.
 _TOWERS: dict[tuple[str, float], _Tower] = {}
+_TOWERS_MAX = 2048
 _TOWERS_LOCK = threading.Lock()
 
 
@@ -197,18 +206,29 @@ def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]
     window.  The list may hold roots beyond ``count`` or above ``x_cap``
     from earlier scans; it is the memo itself, so callers must not modify it.
 
-    A tower with ``nu >= x_cap`` has no root up to the cap and is not
-    scanned: ``u = x j_nu(x)`` solves ``u'' = (nu (nu + 1) / x**2 - 1) u``,
-    so ``u`` and ``u'`` stay positive up to ``x = sqrt(nu (nu + 1)) >= nu``,
-    and the leading series term of a large order would underflow there.
+    No root lies at or below the turning point ``t = sqrt(nu (nu + 1))``:
+    ``u = x j_nu(x)`` solves ``u'' = (nu (nu + 1) / x**2 - 1) u``, so ``u``
+    and ``u'`` stay positive up to ``t``.  A tower with ``t >= x_cap`` is
+    not scanned, and a new tower's scan starts at the last grid point
+    below ``t``.  That point is reached by the same additions as the scan
+    itself, so the brackets, and with them the roots, are the floats a scan
+    from ``x = 0.05`` would find.
     """
-    if nu >= x_cap:
+    turn = math.sqrt(nu * (nu + 1.0))
+    if turn >= x_cap:
         return []
     func = spherical_j if pol == "TE" else riccati_derivative
+    key = (pol, nu)
     with _TOWERS_LOCK:
-        tower = _TOWERS.get((pol, nu))
+        tower = _TOWERS.pop(key, None)
         if tower is None:
-            tower = _TOWERS[(pol, nu)] = _Tower(_SCAN_START, func(nu, _SCAN_START))
+            x = _SCAN_START
+            while x + _SCAN_STEP <= turn:
+                x += _SCAN_STEP
+            tower = _Tower(x, func(nu, x))
+            if len(_TOWERS) >= _TOWERS_MAX:
+                del _TOWERS[next(iter(_TOWERS))]
+        _TOWERS[key] = tower
         roots, x, f_x = tower.roots, tower.x, tower.f
         while len(roots) < count and x <= x_cap:
             x_next = x + _SCAN_STEP

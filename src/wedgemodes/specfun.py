@@ -6,7 +6,8 @@ spherical Bessel function j_nu, the Riccati-Bessel derivative d/dx[x j_nu],
 and the associated-Legendre theta-solution regular at the north pole.
 
 Both power series stop once a term falls below 1e-15 of the partial sum
-and raise ConvergenceError if that takes more than 200 terms.
+(``bessel_j`` also once both have underflowed to zero) and raise
+ConvergenceError if that takes more than 200 terms.
 
 Public surface:
     ConvergenceError   -- raised when a series fails to settle
@@ -18,6 +19,7 @@ Public surface:
 """
 from __future__ import annotations
 
+import functools
 import math
 
 __all__ = [
@@ -116,7 +118,8 @@ def ln_gamma(z: float) -> float:
     Relative error below 1e-12 across (0, 50].  A Lanczos approximation
     covers the generic range; shifted Taylor series take over near the
     zeros of ln Gamma at z = 1 and z = 2, where the Lanczos form alone
-    loses relative accuracy to cancellation.
+    loses relative accuracy to cancellation.  From z ~ 2.6e305 the value
+    overflows a float, and ValueError is raised.
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise ValueError(f"ln_gamma requires finite z > 0, got {z}")
@@ -130,7 +133,15 @@ def ln_gamma(z: float) -> float:
         return eps * (1.0 - _EULER_GAMMA) + _lgamma_taylor_sum(eps)
     if z < 0.75:
         return ln_gamma(z + 1.0) - math.log(z)
-    return _lanczos_ln_gamma(z)
+    value = _lanczos_ln_gamma(z)
+    if not math.isfinite(value):
+        raise ValueError(f"ln_gamma({z}) overflows a float")
+    return value
+
+
+#: ln_gamma(order + 1) for bessel_j: a root tower evaluates one or two
+#: orders at every scan point.
+_ln_gamma_memo = functools.lru_cache(maxsize=64)(ln_gamma)
 
 
 def _rgamma(z: float) -> float:
@@ -160,7 +171,8 @@ def bessel_j(order: float, x: float) -> float:
     J_a(x) = sum_k (-1)^k (x/2)^(2k+a) / (k! Gamma(k+a+1)), valid for any
     real order > -1; callers use order >= 0.  Terms are generated by the
     two-step recurrence t_{k} = -t_{k-1} * (x/2)^2 / (k (k+a)) and summed
-    with Kahan compensation until |term| < 1e-15 * |sum|.
+    with Kahan compensation until |term| <= 1e-15 * |sum|, which also stops
+    a sum that has underflowed to zero (|J| below about 5e-324).
     """
     if not 0.0 < x <= BESSEL_X_MAX:
         raise ValueError(f"bessel_j domain is 0 < x <= {BESSEL_X_MAX}, got x={x}")
@@ -168,7 +180,7 @@ def bessel_j(order: float, x: float) -> float:
         raise ValueError(f"bessel_j requires order > -1, got {order}")
     half_x = 0.5 * x
     q = half_x * half_x
-    term = math.exp(order * math.log(half_x) - ln_gamma(order + 1.0))
+    term = math.exp(order * math.log(half_x) - _ln_gamma_memo(order + 1.0))
     total = term
     comp = 0.0
     for k in range(1, _SERIES_MAX_TERMS + 1):
@@ -177,7 +189,7 @@ def bessel_j(order: float, x: float) -> float:
         t = total + y
         comp = (t - total) - y
         total = t
-        if abs(term) < _SERIES_REL_TOL * abs(total):
+        if abs(term) <= _SERIES_REL_TOL * abs(total):
             return total
     raise ConvergenceError(
         f"J_{order}({x}) did not converge within {_SERIES_MAX_TERMS} terms"

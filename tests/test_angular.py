@@ -349,16 +349,19 @@ class TestSouthPole:
         for nu in (2.0 / 3.0, 7.0 / 6.0, 5.0 / 3.0):
             assert shoot_and_fit(nu, 2.0 / 3.0)[2] < 1e-6
 
-    @pytest.mark.parametrize("nu, m", [(20.3, 0.5), (200.3, 0.5), (1234.56, 0.25)])
+    @pytest.mark.parametrize("nu, m", [(20.3, 0.5), (200.3, 0.5), (1234.56, 0.25),
+                                       (1e7 + 0.3, 0.5), (1e11 + 0.3, 0.5), (1e300, 0.5)])
     def test_large_degree_against_high_precision_reference(self, nu, m):
-        with mp.workdps(40):
+        # m - nu must keep its fractional part: 20 digits beyond log10(nu)
+        with mp.workdps(max(40, int(math.log10(nu)) + 25)):
             nu_mp, m_mp = mp.mpf(nu), mp.mpf(m)
             a_ref = mp.gamma(m_mp + 1) * mp.gamma(-m_mp) * mp.rgamma(nu_mp + 1) * mp.rgamma(-nu_mp)
             b_ref = (mp.power(4, m_mp) * mp.gamma(m_mp + 1) * mp.gamma(m_mp)
                      * mp.rgamma(m_mp - nu_mp) * mp.rgamma(m_mp + nu_mp + 1))
         fit = south_pole_coefficient(nu, m)
-        assert fit.a_reg == pytest.approx(float(a_ref), rel=1e-11)
-        assert fit.b_sing == pytest.approx(float(b_ref), rel=1e-11)
+        # abs=0: b_sing ~ nu**(-2 m) falls below approx's default 1e-12 floor
+        assert fit.a_reg == pytest.approx(float(a_ref), rel=1e-11, abs=0.0)
+        assert fit.b_sing == pytest.approx(float(b_ref), rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize("m", [0.0, 1.0, 1.5, -0.3])
     def test_rejects_weight_outside_open_unit_interval(self, m):

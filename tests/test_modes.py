@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 import threading
@@ -140,9 +141,9 @@ class TestRoots:
                 tm_root(nu, 1)
 
     def test_order_at_or_above_the_window_has_no_root(self):
-        # every zero of j_nu and of d/dx[x j_nu] lies above nu, so these
-        # towers are empty below x = 40; for nu >~ 110 the series' first
-        # term underflows, which must not surface as a ConvergenceError
+        # every zero of j_nu and of d/dx[x j_nu] lies above the turning
+        # point sqrt(nu (nu + 1)) > 40, so these towers are empty below the
+        # x = 40 window and are not scanned
         for nu in (40.0, 120.0, 400.0):
             with pytest.raises(RootNotFoundError):
                 te_root(nu, 1)
@@ -197,6 +198,63 @@ class TestRoots:
         # request for it resumes the enumeration's scan
         assert scanned == cold[:2]
         assert te_root(nu, 3) == cold[2]
+
+    @pytest.mark.parametrize("pol, func", [("TE", "spherical_j"),
+                                           ("TM", "riccati_derivative")])
+    def test_scan_starts_at_the_turning_point(self, monkeypatch, pol, func):
+        # from x = 0.05 the nu = 10 tower costs 464 evaluations up to x = 20;
+        # starting below sqrt(110) ~ 10.49 skips about 200 of them
+        calls = 0
+        plain = getattr(modes, func)
+
+        def counted(nu, x):
+            nonlocal calls
+            calls += 1
+            return plain(nu, x)
+
+        monkeypatch.setattr(modes, "_TOWERS", {})
+        monkeypatch.setattr(modes, func, counted)
+        roots = modes._tower_roots(pol, 10.0, math.inf, 20.0)
+        assert len(roots) == 2
+        assert calls <= 300
+
+    def test_memo_keeps_the_most_recent_towers(self, monkeypatch):
+        monkeypatch.setattr(modes, "_TOWERS", {})
+        first = [te_root(1.5, s) for s in (1, 2)]
+        # an empty request still scans one point, so it costs one evaluation
+        orders = [2.0 + 1e-3 * i for i in range(modes._TOWERS_MAX + 10)]
+        for nu in orders:
+            modes._tower_roots("TE", nu, 0, 20.0)
+        assert len(modes._TOWERS) == modes._TOWERS_MAX
+        assert ("TE", 1.5) not in modes._TOWERS
+        assert ("TE", orders[-1]) in modes._TOWERS
+        assert [te_root(1.5, s) for s in (1, 2)] == first
+        assert len(modes._TOWERS) == modes._TOWERS_MAX
+        # a request moves its tower to the young end of the memo
+        modes._tower_roots("TE", orders[-modes._TOWERS_MAX + 1], 0, 20.0)
+        modes._tower_roots("TE", 1.25, 0, 20.0)
+        assert ("TE", orders[-modes._TOWERS_MAX + 1]) in modes._TOWERS
+
+    def test_roots_at_wide_caps_are_frozen(self, monkeypatch):
+        # digest of the root floats as the scan from x = 0.05 found them:
+        # a 300-degree wedge of radius 30 mm up to x = 30, and the root
+        # lists to x = 40 of the window-edge order 5 pi / Phi(27 degrees)
+        # (whose TE list holds the known phantom roots), of nu = 10, and of
+        # orders whose turning point lies just below or above the window
+        monkeypatch.setattr(modes, "_TOWERS", {})
+        digest = hashlib.sha256()
+        radius = 0.03
+        cfg = WedgeConfig.from_degrees(300.0, radius)
+        records = enumerate_spectrum(cfg, 30.0 * SPEED_OF_LIGHT / (2.0 * math.pi * radius))
+        assert len(records) == 620
+        for r in records:
+            digest.update(f"{r.id.polarisation} {r.id.n} {r.id.k} {r.id.s} {r.x.hex()}\n".encode())
+        edge = azimuthal_index(5, WedgeConfig.from_degrees(27.0, RADIUS))
+        for pol, nu in (("TE", edge), ("TM", edge), ("TE", 10.0), ("TM", 10.0),
+                        ("TM", 33.3), ("TE", 39.4), ("TE", 120.0)):
+            for x in modes._tower_roots(pol, nu, math.inf, 40.0):
+                digest.update(f"{pol} {nu.hex()} {x.hex()}\n".encode())
+        assert digest.hexdigest().startswith("0705d1c024f7aec4")
 
     @pytest.mark.parametrize("nu", [1.5, 2.5, 3.5])
     def test_concurrent_requests_resume_one_scan(self, monkeypatch, nu):

@@ -50,7 +50,8 @@ class TestLnGamma:
             # so measure against a 1e-3 floor there
             assert abs(got - ref) <= 1e-12 * max(abs(ref), 1e-3)
 
-    @pytest.mark.parametrize("z", [0.0, -1.0, -0.5, math.inf, math.nan])
+    # from z ~ 2.6e305 ln Gamma(z) overflows a float
+    @pytest.mark.parametrize("z", [0.0, -1.0, -0.5, math.inf, math.nan, 1e308])
     def test_rejects_non_positive_argument(self, z):
         with pytest.raises(ValueError):
             ln_gamma(z)
@@ -120,6 +121,14 @@ class TestSphericalJ:
     def test_domain_error_propagates(self):
         with pytest.raises(ValueError):
             spherical_j(0.0, 0.0)
+
+    def test_subnormal_values_against_high_precision_reference(self):
+        # the series' stop test must hold once the sum has left the normal
+        # floats: j_150(1) ~ 8.8e-310 is subnormal, j_200(1) ~ 4.9e-437 is 0
+        ref = float(mp.sqrt(mp.pi / 2) * mp.besselj(mp.mpf(150.5), 1))
+        assert 0.0 < ref < 1e-308
+        assert spherical_j(150.0, 1.0) == pytest.approx(ref, rel=1e-11)
+        assert spherical_j(200.0, 1.0) == 0.0
 
 
 class TestRiccatiDerivative:

@@ -12,7 +12,7 @@ Modules:
     angular  -- ladder operators on theta-grid functions, Casimir checks,
                 south-pole singularity analysis
     modes    -- azimuthal quantisation, root finding, spectrum enumeration
-    oracle   -- independent FD eigensolver and double-double series check
+    oracle   -- independent FD eigensolver and 40-digit decimal series check
     report   -- embedded reference tables, comparison, CSV/JSON rendering
     cli      -- command-line front end
 """

@@ -8,9 +8,9 @@ primary implementations:
   eigenvalue ladder sits at nu = m + k without any ladder-operator or
   hypergeometric machinery.
 * ``bessel_series_reference`` -- the ascending Bessel series accumulated
-  in double-double (split) arithmetic, certifying series values to well
-  beyond double precision so cancellation bugs in the fast path cannot
-  hide.
+  in the standard library's ``decimal`` at 40 significant digits,
+  certifying series values to well beyond double precision so
+  cancellation bugs in the fast path cannot hide.
 """
 from __future__ import annotations
 
@@ -90,83 +90,41 @@ def legendre_spectrum_fd(m: float, grid_size: int, count: int) -> EigenResult:
 
 
 # ---------------------------------------------------------------------------
-# Double-double series reference for Bessel J
+# 40-digit decimal series reference for Bessel J
 # ---------------------------------------------------------------------------
-
-_SPLITTER = 134217729.0  # 2^27 + 1, Dekker splitting constant
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _quick_two_sum(a: float, b: float) -> tuple[float, float]:
-    # requires |a| >= |b|
-    s = a + b
-    return s, b - (s - a)
-
-
-def _split(a: float) -> tuple[float, float]:
-    t = _SPLITTER * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
-def _dd_add(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    s, e = _two_sum(xh, yh)
-    e += xl + yl
-    return _quick_two_sum(s, e)
-
-
-def _dd_mul(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    p, e = _two_prod(xh, yh)
-    e += xh * yl + xl * yh
-    return _quick_two_sum(p, e)
-
-
-def _dd_div_double(xh: float, xl: float, d: float) -> tuple[float, float]:
-    q1 = xh / d
-    p, e = _two_prod(q1, d)
-    rh, rl = _dd_add(xh, xl, -p, -e)
-    q2 = (rh + rl) / d
-    return _quick_two_sum(q1, q2)
 
 
 def bessel_series_reference(nu: float, x: float, terms: int) -> float:
-    """Ascending Bessel series accumulated in double-double arithmetic.
+    """Ascending Bessel series accumulated in 40-digit decimal arithmetic.
 
-    Evaluates the same series as the fast path but carries both the term
-    recurrence and the running sum as (hi, lo) double-double pairs, so the
-    alternating-sum cancellation that limits the double-precision path is
-    pushed ~16 digits further down.  The leading coefficient
-    (x/2)^nu / Gamma(nu+1) is taken in working precision: it scales the
-    whole series uniformly and is shared with the fast path, so the
-    comparison isolates accumulation error.  Used to certify series values
-    recorded in the test fixtures.
+    Evaluates the same series as the fast path, but q = (x/2)^2, each
+    divisor k (k + nu), every term and the running sum are ``Decimal``
+    values at 40 significant digits, so the alternating-sum cancellation
+    that limits the double-precision path (about 7 digits at x = 20) costs
+    nothing visible; one ``float()`` rounds the result.  The leading
+    coefficient (x/2)^nu / Gamma(nu+1) is taken in working precision: it
+    scales the whole series uniformly and is shared with the fast path, so
+    the comparison isolates accumulation error.  Used to certify series
+    values recorded in the test fixtures.
     """
     if terms < 40:
         raise ValueError(f"terms must be >= 40, got {terms}")
     if not 0.0 < x <= 20.0:
         raise ValueError(f"reference domain is 0 < x <= 20, got x={x}")
     half_x = 0.5 * x
-    qh, ql = _two_prod(half_x, half_x)
     t0 = math.exp(nu * math.log(half_x) - ln_gamma(nu + 1.0))
-    th, tl = t0, 0.0
-    sh, sl = t0, 0.0
-    for k in range(1, terms + 1):
-        th, tl = _dd_mul(th, tl, -qh, -ql)
-        th, tl = _dd_div_double(th, tl, k * (k + nu))
-        sh, sl = _dd_add(sh, sl, th, tl)
-        if abs(th) < 1e-34 * abs(sh):
-            break
-    return sh + sl
+    # imported here so that no CLI command loads decimal
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        q = Decimal(half_x) * Decimal(half_x)
+        order = Decimal(nu)
+        stop = Decimal("1e-34")
+        term = total = Decimal(t0)
+        for k in range(1, terms + 1):
+            term = -term * q / (k * (k + order))
+            total += term
+            if abs(term) < stop * abs(total):
+                break
+        return float(total)

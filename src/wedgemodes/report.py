@@ -77,32 +77,40 @@ class ReferenceRow:
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """A reference row paired with the matching computed record, if any.
+    """A reference row paired with the matching computed frequency, if any.
 
     ``dev_vs_theory`` and ``dev_vs_hfss`` are signed relative deviations of
     the computed frequency against the tabulated theory and HFSS values,
-    with the ``(f - f_ref) / f_ref`` convention.  For an unmatched
-    (missing-mode) row the three computed fields are ``None``.
+    with the ``(f - f_ref) / f_ref`` convention, and ``within_tol`` says
+    whether ``|dev_vs_theory| <= tol``.  For an unmatched (missing-mode)
+    row ``f_computed_ghz`` and both deviations are ``None`` and
+    ``within_tol`` is false.
     """
 
     reference: ReferenceRow
     f_computed_ghz: float | None
-    dev_vs_theory: float | None
-    dev_vs_hfss: float | None
-    within_tol: bool = False
-
-    def __post_init__(self) -> None:
-        fields = (self.f_computed_ghz, self.dev_vs_theory, self.dev_vs_hfss)
-        if not (
-            all(v is None for v in fields)
-            or all(v is not None and math.isfinite(v) for v in fields)
-        ):
-            raise ValueError("computed values must be all None or all finite")
+    tol: float
 
     @property
     def matched(self) -> bool:
         """Whether a computed record matched the reference row."""
         return self.f_computed_ghz is not None
+
+    @property
+    def dev_vs_theory(self) -> float | None:
+        if not self.matched:
+            return None
+        return (self.f_computed_ghz - self.reference.f_theory_ghz) / self.reference.f_theory_ghz
+
+    @property
+    def dev_vs_hfss(self) -> float | None:
+        if not self.matched:
+            return None
+        return (self.f_computed_ghz - self.reference.f_hfss_ghz) / self.reference.f_hfss_ghz
+
+    @property
+    def within_tol(self) -> bool:
+        return self.matched and abs(self.dev_vs_theory) <= self.tol
 
 
 _REFERENCE_FIELDS = (
@@ -213,42 +221,18 @@ def compare(
     """
     if not (tol >= 0.0 and math.isfinite(tol)):
         raise ValueError(f"relative tolerance must be finite and >= 0, got {tol}")
-    rows: list[ComparisonRow] = []
-    abs_devs: list[float] = []
+    rows = []
     for ref in reference:
-        candidates = [
-            rec
+        candidates = (
+            rec.freq_hz / 1e9
             for rec in computed
             if rec.id.polarisation == ref.polarisation
             and abs(rec.id.m - ref.m) <= _MATCH_M_TOL
             and rec.id.k == ref.k
-        ]
-        if not candidates:
-            rows.append(
-                ComparisonRow(
-                    reference=ref,
-                    f_computed_ghz=None,
-                    dev_vs_theory=None,
-                    dev_vs_hfss=None,
-                )
-            )
-            continue
-        best = min(
-            candidates, key=lambda rec: abs(rec.freq_hz / 1e9 - ref.f_hfss_ghz)
         )
-        f_ghz = best.freq_hz / 1e9
-        dev_theory = (f_ghz - ref.f_theory_ghz) / ref.f_theory_ghz
-        dev_hfss = (f_ghz - ref.f_hfss_ghz) / ref.f_hfss_ghz
-        abs_devs.append(abs(dev_hfss))
-        rows.append(
-            ComparisonRow(
-                reference=ref,
-                f_computed_ghz=f_ghz,
-                dev_vs_theory=dev_theory,
-                dev_vs_hfss=dev_hfss,
-                within_tol=abs(dev_theory) <= tol,
-            )
-        )
+        best = min(candidates, key=lambda f_ghz: abs(f_ghz - ref.f_hfss_ghz), default=None)
+        rows.append(ComparisonRow(ref, best, tol))
+    abs_devs = [abs(row.dev_vs_hfss) for row in rows if row.matched]
     mean_abs = sum(abs_devs) / len(abs_devs) if abs_devs else 0.0
     return rows, mean_abs
 

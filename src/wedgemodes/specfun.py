@@ -7,7 +7,9 @@ and the associated-Legendre theta-solution regular at the north pole.
 
 Both power series stop once a term falls below 1e-15 of the partial sum
 (``bessel_j`` also once both have underflowed to zero) and raise
-ConvergenceError if that takes more than 200 terms.
+ConvergenceError if that takes more than 200 terms; ``legendre_theta``
+also raises it once a term passes 1e5, where its alternating sum would
+cancel away more digits than a profile value can spare.
 
 Public surface:
     ConvergenceError   -- raised when a series fails to settle
@@ -35,6 +37,10 @@ BESSEL_X_MAX = 40.0
 
 _SERIES_MAX_TERMS = 200
 _SERIES_REL_TOL = 1e-15
+# the legendre_theta series sums terms of both signs, so its absolute error
+# is about eps times its largest term; past this bound that error exceeds
+# ~1e-11 and the value is refused
+_LEGENDRE_TERM_MAX = 1e5
 
 
 class ConvergenceError(ArithmeticError):
@@ -246,7 +252,9 @@ def legendre_theta(nu: float, m: float, theta: float) -> float:
     which terminates after nu - m + 1 terms exactly when nu - m is a
     non-negative integer and otherwise converges for u < 1 (slowly as
     theta -> pi; a ConvergenceError is raised rather than returning a
-    partial sum).
+    partial sum).  At moderate degree its terms grow far beyond the sum
+    and cancel; a ConvergenceError is raised once a term passes 1e5
+    rather than returning the cancelled remainder.
     """
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
@@ -260,13 +268,22 @@ def legendre_theta(nu: float, m: float, theta: float) -> float:
     term = 1.0
     total = 1.0
     comp = 0.0
-    for j in range(_SERIES_MAX_TERMS):
+    # a float index makes each sum below float + float, which the
+    # interpreter adds faster than int + float; that pays for the
+    # cancellation check, and the values are the same
+    for j in map(float, range(_SERIES_MAX_TERMS)):
         term *= (j + a) * (j + b) * u / ((j + c) * (j + 1.0))
+        size = abs(term)
+        if size > _LEGENDRE_TERM_MAX:
+            raise ConvergenceError(
+                f"legendre_theta(nu={nu}, m={m}) series cancels at theta={theta}: "
+                f"a term reached {size:.3g} > {_LEGENDRE_TERM_MAX:g}"
+            )
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        if abs(term) < _SERIES_REL_TOL * abs(total):
+        if size < _SERIES_REL_TOL * abs(total):
             return math.sin(theta) ** m * total
     raise ConvergenceError(
         f"legendre_theta(nu={nu}, m={m}) series did not converge at "

@@ -150,6 +150,13 @@ class TestEval:
             assert proc.stdout == ""
             assert proc.stderr.startswith("error:")
 
+    def test_angular_profile_refuses_cancelled_series(self):
+        proc = run_cli("eval", "--fn", "legendre-theta", "--nu", "50.3", "--m", "0.5",
+                       "--x", "2.0")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+
     def test_angular_profile_needs_weight(self):
         proc = run_cli("eval", "--fn", "legendre-theta", "--nu", "0.666667", "--x", "1.0")
         assert proc.returncode == 2

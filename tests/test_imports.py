@@ -2,7 +2,8 @@
 
 numpy and scipy cost most of a cold ``wedgemodes`` process, so ``eval``,
 ``spectrum`` and ``validate`` must not load them, ``ladder-check`` loads
-numpy only, and scipy is paid for only by the FD oracle.  Each check runs
+numpy only, and scipy is paid for only by the FD oracle.  ``decimal`` is
+paid for only by the series oracle, which no command runs.  Each check runs
 in a fresh interpreter and counts modules; nothing is timed.
 """
 
@@ -19,12 +20,12 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def heavy_modules_after(body: str) -> list[str]:
-    """Which of numpy and scipy a fresh interpreter holds after running body."""
+def heavy_modules_after(body: str, watched: tuple[str, ...] = ("numpy", "scipy")) -> list[str]:
+    """Which of the watched modules a fresh interpreter holds after running body."""
     code = (
         f"import json, sys\n{body}\n"
         "print(json.dumps(sorted({name.split('.')[0] for name in sys.modules}"
-        " & {'numpy', 'scipy'})))\n"
+        f" & {set(watched)!r})))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -38,14 +39,23 @@ def test_library_imports_load_neither_numpy_nor_scipy():
     assert heavy_modules_after(body) == []
 
 
-@pytest.mark.parametrize("argv", [
+COMMANDS = pytest.mark.parametrize("argv", [
     ["eval", "--fn", "sph-j", "--nu", "0.5", "--x", "2"],
     ["spectrum", "--radius-mm", "15", "--wedge-deg", "90", "--fmax-ghz", "14"],
     ["validate", "--wedge-deg", "27"],
 ], ids=["eval", "spectrum", "validate"])
+
+
+@COMMANDS
 def test_command_loads_neither_numpy_nor_scipy(argv):
     body = f"from wedgemodes import cli\nassert cli.main({argv!r}) == 0"
     assert heavy_modules_after(body) == []
+
+
+@COMMANDS
+def test_command_leaves_decimal_unloaded(argv):
+    body = f"from wedgemodes import cli\nassert cli.main({argv!r}) == 0"
+    assert heavy_modules_after(body, ("decimal",)) == []
 
 
 def test_angular_and_oracle_imports_leave_scipy_out():

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import random
 
 import mpmath as mp
 import pytest
 
 from wedgemodes import angular
 from wedgemodes.oracle import bessel_series_reference, legendre_spectrum_fd
+from wedgemodes.specfun import ln_gamma
 
 mp.mp.dps = 40
 
@@ -28,11 +30,36 @@ class TestBesselSeriesReference:
         )
 
     def test_matches_high_precision_reference_deep_into_cancellation(self):
-        # the split-arithmetic accumulation keeps full relative accuracy even
-        # at x = 20 where the plain double series has lost ~7 digits
-        for nu, x in ((2.0 / 3.0, 7.3), (1.5, 12.0), (0.0, 19.7)):
+        # the 40-digit accumulation keeps full relative accuracy even at
+        # x = 20, where the plain double series has lost ~7 digits; at
+        # fractional orders a double divisor k (k + nu) alone would leave
+        # errors near 1e-8 here
+        for nu, x in (
+            (2.0 / 3.0, 7.3),
+            (1.5, 12.0),
+            (0.0, 19.7),
+            (7.0 / 6.0, 19.9),
+            (2.702703, 19.5),
+            (3.247629951983236, 19.905390122512127),
+        ):
             ref = float(mp.besselj(mp.mpf(nu), mp.mpf(x)))
             assert bessel_series_reference(nu, x, 200) == pytest.approx(ref, rel=1e-13)
+
+    def test_correctly_rounds_the_series_it_sums(self):
+        # against the exact sum of the same series with the same float
+        # leading term: only the final float() rounding may remain
+        rng = random.Random(20)
+        for _ in range(60):
+            nu, x = rng.uniform(0.0, 30.0), rng.uniform(0.01, 20.0)
+            with mp.workdps(80):
+                term = mp.mpf(math.exp(nu * math.log(0.5 * x) - ln_gamma(nu + 1.0)))
+                q = (mp.mpf(x) / 2) ** 2
+                total = term
+                for k in range(1, 200):
+                    term = -term * q / (k * (k + mp.mpf(nu)))
+                    total += term
+                want = float(total)
+            assert bessel_series_reference(nu, x, 200) == want, (nu, x)
 
     def test_rejects_insufficient_terms(self):
         with pytest.raises(ValueError):

@@ -219,6 +219,20 @@ class TestLegendreTheta:
             with pytest.raises(ValueError):
                 legendre_theta(nu, m, 1.0)
 
+    @pytest.mark.parametrize("nu,m,theta", [(30.3, 0.5, 1.5), (50.3, 0.5, 2.0), (40.0, 0.0, 1.5)])
+    def test_refuses_catastrophic_cancellation(self, nu, m, theta):
+        # the terms grow to 1e14..1e30 and cancel down to values below one,
+        # which double precision returned 16 % off, as 2.9e14 and as -8534
+        with pytest.raises(ConvergenceError, match="cancels"):
+            legendre_theta(nu, m, theta)
+
+    def test_moderate_degree_against_high_precision_reference(self):
+        # below the cancellation guard the value keeps its digits
+        nu, m, theta = 10.3, 0.5, 1.0
+        u = mp.sin(mp.mpf(theta) / 2) ** 2
+        ref = mp.sin(mp.mpf(theta)) ** m * mp.hyp2f1(m - nu, m + nu + 1, m + 1, u)
+        assert legendre_theta(nu, m, theta) == pytest.approx(float(ref), rel=1e-13)
+
     def test_non_terminating_series_reports_divergence(self):
         # non-integer nu - m close to the south pole: the series cannot
         # settle within the term budget and must say so

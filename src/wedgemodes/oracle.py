@@ -35,8 +35,12 @@ class EigenResult:
 
     m: float
     lambdas: tuple[float, ...]
-    nus: tuple[float, ...]
     grid_size: int
+
+    @property
+    def nus(self) -> tuple[float, ...]:
+        """Eigen-indices nu, recovered from lambda = nu (nu + 1)."""
+        return tuple(0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * lam)) for lam in self.lambdas)
 
 
 def legendre_spectrum_fd(m: float, grid_size: int, count: int) -> EigenResult:
@@ -47,8 +51,7 @@ def legendre_spectrum_fd(m: float, grid_size: int, count: int) -> EigenResult:
     regular solutions vanish like t^m for m > 0).  Conservative central
     differences in flux form give a generalized symmetric problem
     A u = lambda B u with diagonal B = sin(t); the similarity transform
-    B^(-1/2) A B^(-1/2) keeps it symmetric tridiagonal.  Eigen-indices nu
-    are recovered from lambda = nu(nu+1).
+    B^(-1/2) A B^(-1/2) keeps it symmetric tridiagonal.
     """
     if grid_size < 500:
         raise ValueError(f"grid_size must be >= 500, got {grid_size}")
@@ -80,13 +83,7 @@ def legendre_spectrum_fd(m: float, grid_size: int, count: int) -> EigenResult:
     lambdas = eigh_tridiagonal(
         diag, off, eigvals_only=True, select="i", select_range=(0, count - 1)
     )
-    nus = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * lambdas))
-    return EigenResult(
-        m=float(m),
-        lambdas=tuple(float(v) for v in lambdas),
-        nus=tuple(float(v) for v in nus),
-        grid_size=n,
-    )
+    return EigenResult(m=float(m), lambdas=tuple(float(v) for v in lambdas), grid_size=n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The package ships reference mode tables for the five cavity configurations
 (four non-integer wedge openings plus the half-sphere control) as a CSV
 resource, guarded by a SHA-256 checksum.  Each reference row carries the
 mode's quantum numbers, the tabulated first-principles frequency and the
-tabulated finite-element (HFSS) frequency.
+tabulated finite-element (HFSS) frequency.  The resource is read,
+verified and parsed once per process.
 
 :func:`compare` matches an enumerated spectrum against a reference block by
 quantum numbers — polarisation, azimuthal index within 1e-3, and lowering
@@ -14,20 +15,26 @@ counterpart becomes a failure row (no computed values, so not ``matched``)
 rather than an exception.
 
 :func:`render` serializes spectra, comparisons, or reference rows to CSV or
-JSON, telling them apart by the type of the first item, with stable field
-order and formatting (frequencies carry six significant digits), so
-identical inputs produce byte-identical output.
+JSON, telling them apart by the type of the first item.  One column
+declaration per record kind (name, attribute, format, in output order)
+drives the CSV writer, the JSON writer and the reference parser.
+Frequencies carry six significant digits, and identical inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
+from operator import attrgetter
+from typing import NamedTuple
 
 from . import modes
 from .modes import ModeRecord
@@ -113,90 +120,103 @@ class ComparisonRow:
         return self.matched and abs(self.dev_vs_theory) <= self.tol
 
 
-_REFERENCE_FIELDS = (
-    "wedge_deg",
-    "mode_index",
-    "pol",
-    "m",
-    "k",
-    "nu",
-    "f_theory_ghz",
-    "f_hfss_ghz",
-)
-
-_SPECTRUM_FIELDS = ("pol", "n", "k", "m", "nu", "s", "x", "freq_ghz", "family")
-
-_COMPARISON_FIELDS = _REFERENCE_FIELDS + (
-    "f_computed_ghz",
-    "dev_vs_theory_pct",
-    "dev_vs_hfss_pct",
-    "matched",
-)
-
-
-def _sig6(value: float) -> str:
-    """Six significant digits, trailing zeros kept."""
-    return f"{value:#.6g}"
-
-
 def _round6(value: float) -> float:
     """Value rounded to six significant digits (for JSON payloads)."""
     return float(f"{value:.6g}")
 
 
-def _reference_csv_row(row: ReferenceRow) -> list[str]:
-    return [
-        f"{row.wedge_deg:g}",
-        str(row.mode_index),
-        row.polarisation,
-        f"{row.m:.6f}",
-        str(row.k),
-        f"{row.nu:.6f}",
-        _sig6(row.f_theory_ghz),
-        _sig6(row.f_hfss_ghz),
-    ]
+def _same(value):
+    return value
+
+
+class _Format(NamedTuple):
+    # how a value becomes CSV text and a JSON value, and how CSV text parses
+    # back (reference columns only)
+    text: Callable
+    value: Callable
+    parse: Callable | None = None
+
+
+_TEXT = _Format(str, _same, str)
+_INT = _Format(str, _same, int)
+_FLOAT_G = _Format("{:g}".format, _same, float)
+_FIXED6 = _Format("{:.6f}".format, _round6, float)
+_SIG6 = _Format("{:#.6g}".format, _round6, float)  # six significant digits, zeros kept
+_GHZ_SIG6 = _Format(lambda hz: f"{hz / 1e9:#.6g}", lambda hz: _round6(hz / 1e9))
+_PCT4 = _Format(lambda dev: f"{100.0 * dev:.4f}", lambda dev: round(100.0 * dev, 4))
+_BOOL = _Format(lambda flag: "true" if flag else "false", _same)
+
+# One declaration per record kind: (column name, attribute path, format), in
+# output order.  A ``None`` value renders as an empty CSV cell or JSON null.
+_SPECTRUM_COLUMNS = (
+    ("pol", "id.polarisation", _TEXT),
+    ("n", "id.n", _INT),
+    ("k", "id.k", _INT),
+    ("m", "id.m", _FIXED6),
+    ("nu", "id.nu", _FIXED6),
+    ("s", "id.s", _INT),
+    ("x", "x", _SIG6),
+    ("freq_ghz", "freq_hz", _GHZ_SIG6),
+    ("family", "family", _TEXT),
+)
+
+# the column order of ``reference_tables.csv``
+_REFERENCE_COLUMNS = (
+    ("wedge_deg", "wedge_deg", _FLOAT_G),
+    ("mode_index", "mode_index", _INT),
+    ("pol", "polarisation", _TEXT),
+    ("m", "m", _FIXED6),
+    ("k", "k", _INT),
+    ("nu", "nu", _FIXED6),
+    ("f_theory_ghz", "f_theory_ghz", _SIG6),
+    ("f_hfss_ghz", "f_hfss_ghz", _SIG6),
+)
+
+_COMPARISON_COLUMNS = tuple(
+    (name, "reference." + path, form) for name, path, form in _REFERENCE_COLUMNS
+) + (
+    ("f_computed_ghz", "f_computed_ghz", _SIG6),
+    ("dev_vs_theory_pct", "dev_vs_theory", _PCT4),
+    ("dev_vs_hfss_pct", "dev_vs_hfss", _PCT4),
+    ("matched", "matched", _BOOL),
+)
 
 
 def _parse_reference_csv(data: bytes) -> list[ReferenceRow]:
     """Parse reference rows from CSV bytes (schema of ``reference_tables.csv``)."""
-    text = data.decode("utf-8")
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames != list(_REFERENCE_FIELDS):
+    reader = csv.DictReader(io.StringIO(data.decode("utf-8")))
+    if reader.fieldnames != [name for name, _, _ in _REFERENCE_COLUMNS]:
         raise ReferenceIntegrityError("unexpected reference CSV header")
-    rows = []
-    for rec in reader:
-        rows.append(
-            ReferenceRow(
-                wedge_deg=float(rec["wedge_deg"]),
-                mode_index=int(rec["mode_index"]),
-                polarisation=rec["pol"],
-                m=float(rec["m"]),
-                k=int(rec["k"]),
-                nu=float(rec["nu"]),
-                f_theory_ghz=float(rec["f_theory_ghz"]),
-                f_hfss_ghz=float(rec["f_hfss_ghz"]),
-            )
-        )
-    return rows
+    return [
+        ReferenceRow(**{path: form.parse(rec[name]) for name, path, form in _REFERENCE_COLUMNS})
+        for rec in reader
+    ]
 
 
-def load_reference() -> list[ReferenceRow]:
-    """All 30 embedded mode rows (five configurations, six modes each).
-
-    Verifies the resource checksum before parsing.
-    """
+@functools.cache
+def _reference_rows() -> tuple[ReferenceRow, ...]:
+    """The embedded rows, read, checksum-verified and parsed once per process."""
     data = (resources.files("wedgemodes") / "data" / "reference_tables.csv").read_bytes()
     digest = hashlib.sha256(data).hexdigest()
     if digest != _REFERENCE_SHA256:
         raise ReferenceIntegrityError(
             f"reference data checksum mismatch: {digest} != {_REFERENCE_SHA256}"
         )
-    return _parse_reference_csv(data)
+    return tuple(_parse_reference_csv(data))
+
+
+def load_reference() -> list[ReferenceRow]:
+    """All 30 embedded mode rows (five configurations, six modes each).
+
+    The resource checksum is verified before the first parse in each
+    process; every call returns a new list.
+    """
+    return list(_reference_rows())
 
 
 def block_reference(wedge_deg: float) -> list[ReferenceRow]:
     """The six reference rows of one wedge block, by table order."""
-    rows = [r for r in load_reference() if r.wedge_deg == wedge_deg]
+    rows = [r for r in _reference_rows() if r.wedge_deg == wedge_deg]
     if not rows:
         raise ValueError(f"no reference block for wedge_deg={wedge_deg:g}")
     return sorted(rows, key=lambda r: r.mode_index)
@@ -237,9 +257,7 @@ def compare(
     return rows, mean_abs
 
 
-def _validate_block(
-    wedge_deg: float, tol: float = 0.002
-) -> tuple[list[ComparisonRow], float]:
+def _validate_block(wedge_deg: float, tol: float = 0.002) -> tuple[list[ComparisonRow], float]:
     """:func:`compare` one reference block against the spectrum of its
     15 mm cavity, enumerated up to 1.3 times the block's largest tabulated
     theory frequency."""
@@ -247,75 +265,6 @@ def _validate_block(
     config = modes.WedgeConfig.from_degrees(wedge_deg, 0.015)
     cap_hz = 1.3 * max(row.f_theory_ghz for row in block) * 1e9
     return compare(modes.enumerate_spectrum(config, cap_hz), block, tol)
-
-
-def _spectrum_json_obj(rec: ModeRecord) -> dict:
-    return {
-        "pol": rec.id.polarisation,
-        "n": rec.id.n,
-        "k": rec.id.k,
-        "m": _round6(rec.id.m),
-        "nu": _round6(rec.id.nu),
-        "s": rec.id.s,
-        "x": _round6(rec.x),
-        "freq_ghz": _round6(rec.freq_hz / 1e9),
-        "family": rec.family,
-    }
-
-
-def _spectrum_csv_row(rec: ModeRecord) -> list[str]:
-    return [
-        rec.id.polarisation,
-        str(rec.id.n),
-        str(rec.id.k),
-        f"{rec.id.m:.6f}",
-        f"{rec.id.nu:.6f}",
-        str(rec.id.s),
-        _sig6(rec.x),
-        _sig6(rec.freq_hz / 1e9),
-        rec.family,
-    ]
-
-
-def _reference_json_obj(row: ReferenceRow) -> dict:
-    return {
-        "wedge_deg": row.wedge_deg,
-        "mode_index": row.mode_index,
-        "pol": row.polarisation,
-        "m": _round6(row.m),
-        "k": row.k,
-        "nu": _round6(row.nu),
-        "f_theory_ghz": _round6(row.f_theory_ghz),
-        "f_hfss_ghz": _round6(row.f_hfss_ghz),
-    }
-
-
-def _comparison_json_obj(row: ComparisonRow) -> dict:
-    obj = _reference_json_obj(row.reference)
-    if row.matched:
-        obj.update(
-            f_computed_ghz=_round6(row.f_computed_ghz),
-            dev_vs_theory_pct=round(100.0 * row.dev_vs_theory, 4),
-            dev_vs_hfss_pct=round(100.0 * row.dev_vs_hfss, 4),
-        )
-    else:
-        obj.update(f_computed_ghz=None, dev_vs_theory_pct=None, dev_vs_hfss_pct=None)
-    obj["matched"] = row.matched
-    return obj
-
-
-def _comparison_csv_row(row: ComparisonRow) -> list[str]:
-    cells = _reference_csv_row(row.reference)
-    if row.matched:
-        cells += [
-            _sig6(row.f_computed_ghz),
-            f"{100.0 * row.dev_vs_theory:.4f}",
-            f"{100.0 * row.dev_vs_hfss:.4f}",
-        ]
-    else:
-        cells += ["", "", ""]
-    cells.append("true" if row.matched else "false")
-    return cells
 
 
 def render(items, fmt: str) -> bytes:
@@ -331,23 +280,32 @@ def render(items, fmt: str) -> bytes:
         raise ValueError(f"unknown format: {fmt!r} (expected 'csv' or 'json')")
     items = list(items)
     if not items or isinstance(items[0], ModeRecord):
-        header, to_csv, to_json = _SPECTRUM_FIELDS, _spectrum_csv_row, _spectrum_json_obj
+        columns = _SPECTRUM_COLUMNS
     elif isinstance(items[0], ComparisonRow):
-        header, to_csv, to_json = _COMPARISON_FIELDS, _comparison_csv_row, _comparison_json_obj
+        columns = _COMPARISON_COLUMNS
     elif isinstance(items[0], ReferenceRow):
-        header, to_csv, to_json = _REFERENCE_FIELDS, _reference_csv_row, _reference_json_obj
+        columns = _REFERENCE_COLUMNS
     else:
         raise ValueError(f"cannot render {type(items[0]).__name__} items")
+    names, paths, forms = zip(*columns)
+    values = attrgetter(*paths)
 
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(names)
         for item in items:
-            writer.writerow(to_csv(item))
+            writer.writerow(
+                ["" if v is None else form.text(v) for form, v in zip(forms, values(item))]
+            )
         return buf.getvalue().encode("utf-8")
 
-    objs = [to_json(item) for item in items]
-    return (json.dumps(objs, separators=(",", ":"), ensure_ascii=False) + "\n").encode(
-        "utf-8"
-    )
+    objs = [
+        {
+            name: None if v is None else form.value(v)
+            for name, form, v in zip(names, forms, values(item))
+        }
+        for item in items
+    ]
+    text = json.dumps(objs, separators=(",", ":"), ensure_ascii=False)
+    return (text + "\n").encode("utf-8")

@@ -72,9 +72,17 @@ class TestLoadReference:
             block_reference(10.0)
 
     def test_checksum_guard_detects_tampering(self, monkeypatch):
+        # the table is verified once per process, so drop the cached rows
+        report._reference_rows.cache_clear()
         monkeypatch.setattr(report, "_REFERENCE_SHA256", "0" * 64)
         with pytest.raises(ReferenceIntegrityError):
             load_reference()
+
+    def test_each_call_returns_a_new_list(self):
+        first = load_reference()
+        first.clear()
+        assert len(load_reference()) == 30
+        assert load_reference() is not load_reference()
 
     def test_parse_rejects_foreign_header(self):
         with pytest.raises(ReferenceIntegrityError):
@@ -217,6 +225,26 @@ class TestRender:
         assert lines180[1] == (
             "180,1,TM,1.000000,0,1.000000,8.72700,8.72100,8.72745,0.0052,0.0740,true"
         )
+
+    @pytest.mark.parametrize(
+        "wedge, fmt, digest",
+        [
+            (27.0, "csv", "06a86ecee299255b2f3045a8b3833b5686dc34bae65581264f64bfdb8c058d72"),
+            (47.0, "csv", "1050c6b7b5f698b94407bfc8bd28644d9099c172bb342582accb3709e034fbbb"),
+            (73.0, "csv", "55a723411362c23f6dc6bb3d4d44415712ffef1f2f9afbbe89cf26c0b32d2c35"),
+            (90.0, "csv", "654194b398a270900207a7e3f881f25b161c6b13a6dc36a29ab5a24ec2434402"),
+            (180.0, "csv", "810a9e3fd0a3ce676967cd9edfd36edbca786ea804f1b110fd4c7ecd218d040f"),
+            (27.0, "json", "6c4cc99c81339dc5aea3e4a8b6f927dc28d9a7dc708f17917dbdbc850e409770"),
+            (47.0, "json", "b1b956c4e5dffc8e83f72d398b0a8d2916e1b6af8c2a61d2260c554662fc1a9b"),
+            (73.0, "json", "776ae83d5dc77e34dc38d780dfe329792ff3e45ea8e8e535dce5d3cd224876eb"),
+            (90.0, "json", "3cca5619370740e89dcec52b3f0375a2280c1ab35d7dedd89f1bd8a2bb5c40a8"),
+            (180.0, "json", "bbbd59353ee7fb6e6d096979e45b0821362ed48c1b5de1240d269a4750560ee6"),
+        ],
+    )
+    def test_block_comparison_is_frozen(self, wedge, fmt, digest):
+        # every row of every block, matched or not, in both formats
+        got = render(report._validate_block(wedge)[0], fmt)
+        assert hashlib.sha256(got).hexdigest() == digest
 
     def test_unmatched_comparison_csv_leaves_cells_empty(self):
         ref = block_reference(90.0)[1]

@@ -178,20 +178,22 @@ def sectoral(m: float, grid: np.ndarray) -> AngularFunction:
     return AngularFunction(m=m, theta_grid=grid, values=np.sin(grid) ** m)
 
 
-def apply_raising(f: AngularFunction) -> AngularFunction:
-    """Raising operator: profile ``f' - m cot(theta) f`` at weight ``m + 1``."""
+def _ladder(f: AngularFunction, sign: float) -> AngularFunction:
+    """Profile ``sign * f' - m cot(theta) f`` at weight ``m + sign``."""
     h = _uniform_spacing(f.theta_grid)
     cot = np.cos(f.theta_grid) / np.sin(f.theta_grid)
-    out = _derivative(f.values, h) - f.m * cot * f.values
-    return AngularFunction(m=f.m + 1.0, theta_grid=f.theta_grid, values=out)
+    out = sign * _derivative(f.values, h) - f.m * cot * f.values
+    return AngularFunction(m=f.m + sign, theta_grid=f.theta_grid, values=out)
+
+
+def apply_raising(f: AngularFunction) -> AngularFunction:
+    """Raising operator: profile ``f' - m cot(theta) f`` at weight ``m + 1``."""
+    return _ladder(f, 1.0)
 
 
 def apply_lowering(f: AngularFunction) -> AngularFunction:
     """Lowering operator: profile ``-f' - m cot(theta) f`` at weight ``m - 1``."""
-    h = _uniform_spacing(f.theta_grid)
-    cot = np.cos(f.theta_grid) / np.sin(f.theta_grid)
-    out = -_derivative(f.values, h) - f.m * cot * f.values
-    return AngularFunction(m=f.m - 1.0, theta_grid=f.theta_grid, values=out)
+    return _ladder(f, -1.0)
 
 
 def apply_casimir(f: AngularFunction) -> AngularFunction:
@@ -224,6 +226,15 @@ def build_tesseral(m: float, k: int, grid: np.ndarray) -> AngularFunction:
     return f
 
 
+def _interior(grid: np.ndarray, *profiles: np.ndarray) -> tuple[np.ndarray, ...]:
+    """theta, its sin(theta) weight and each profile on the interior window."""
+    mask = interior_mask(grid)
+    if np.count_nonzero(mask) < 2:
+        raise ValueError("interior window holds too few samples")
+    theta = grid[mask]
+    return (theta, np.sin(theta), *(p[mask] for p in profiles))
+
+
 def casimir_eigenvalue_estimate(f: AngularFunction) -> float:
     """Rayleigh quotient ``<f, L2 f> / <f, f>`` with sin(theta) weight.
 
@@ -233,14 +244,9 @@ def casimir_eigenvalue_estimate(f: AngularFunction) -> float:
     discards the pole-adjacent samples where the finite-difference Casimir
     is unreliable.
     """
-    lf = apply_casimir(f)
-    mask = interior_mask(f.theta_grid)
-    if np.count_nonzero(mask) < 2:
-        raise ValueError("interior window holds too few samples")
-    theta = f.theta_grid[mask]
-    weight = np.sin(theta)
-    num = np.trapezoid(f.values[mask] * lf.values[mask] * weight, theta)
-    den = np.trapezoid(f.values[mask] ** 2 * weight, theta)
+    theta, weight, fv, lv = _interior(f.theta_grid, f.values, apply_casimir(f).values)
+    num = np.trapezoid(fv * lv * weight, theta)
+    den = np.trapezoid(fv**2 * weight, theta)
     if den == 0.0:
         raise ValueError("cannot form a Rayleigh quotient for the zero function")
     return float(num / den)
@@ -257,13 +263,7 @@ def collinearity(f: AngularFunction, g: AngularFunction) -> float:
         f.theta_grid, g.theta_grid
     ):
         raise ValueError("profiles must share a theta grid")
-    mask = interior_mask(f.theta_grid)
-    if np.count_nonzero(mask) < 2:
-        raise ValueError("interior window holds too few samples")
-    theta = f.theta_grid[mask]
-    weight = np.sin(theta)
-    fv = f.values[mask]
-    gv = g.values[mask]
+    theta, weight, fv, gv = _interior(f.theta_grid, f.values, g.values)
     cross = np.trapezoid(fv * gv * weight, theta)
     ff = np.trapezoid(fv * fv * weight, theta)
     gg = np.trapezoid(gv * gv * weight, theta)

@@ -1,15 +1,17 @@
 """Real-order special functions built from power series.
 
-Everything the mode solver needs is evaluated from scratch in double
-precision: log-gamma, the cylinder Bessel function J of real order, the
-spherical Bessel function j_nu, the Riccati-Bessel derivative d/dx[x j_nu],
-and the associated-Legendre theta-solution regular at the north pole.
+The cylinder Bessel function J of real order, the spherical Bessel
+function j_nu, the Riccati-Bessel derivative d/dx[x j_nu] and the
+associated-Legendre theta-solution regular at the north pole are summed
+in double precision; log-gamma is the standard library's ``math.lgamma``.
 
 Both power series stop once a term falls below 1e-15 of the partial sum
 (``bessel_j`` also once both have underflowed to zero) and raise
-ConvergenceError if that takes more than 200 terms; ``legendre_theta``
-also raises it once a term passes 1e5, where its alternating sum would
-cancel away more digits than a profile value can spare.
+ConvergenceError if that takes more than 200 terms, unless for
+``legendre_theta`` the tail left is below 1e-15 of its first term, 1 (next
+to a zero).  ``legendre_theta`` also raises it once a term passes 1e5,
+where its alternating sum would cancel away more digits than a profile
+value can spare.
 
 Public surface:
     ConvergenceError   -- raised when a series fails to settle
@@ -21,7 +23,6 @@ Public surface:
 """
 from __future__ import annotations
 
-import functools
 import math
 
 __all__ = [
@@ -51,103 +52,20 @@ class ConvergenceError(ArithmeticError):
 # log-gamma
 # ---------------------------------------------------------------------------
 
-# Lanczos approximation, g = 7, 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LN_2PI = 0.91893853320467274178
-_EULER_GAMMA = 0.57721566490153286061
-
-# zeta(k) - 1 for k = 2..26; coefficients of the shifted Taylor series of
-# ln Gamma around its zeros at z = 1 and z = 2.
-_ZETA_M1 = (
-    0.64493406684822643647,
-    0.2020569031595942854,
-    0.082323233711138191516,
-    0.036927755143369926331,
-    0.017343061984449139715,
-    0.0083492773819228268398,
-    0.0040773561979443393787,
-    0.0020083928260822144179,
-    0.00099457512781808533715,
-    0.0004941886041194645587,
-    0.00024608655330804829864,
-    0.00012271334757848914675,
-    0.000061248135058704829259,
-    0.000030588236307020493552,
-    0.000015282259408651871733,
-    7.6371976378997622736e-6,
-    3.8172932649998398565e-6,
-    1.9082127165539389257e-6,
-    9.5396203387279611315e-7,
-    4.7693298678780646312e-7,
-    2.3845050272773299e-7,
-    1.1921992596531107307e-7,
-    5.9608189051259479612e-8,
-    2.9803503514652280186e-8,
-    1.4901554828365041235e-8,
-)
-
-
-def _lgamma_taylor_sum(eps: float) -> float:
-    """sum_{k>=2} (-1)^k (zeta(k)-1) eps^k / k, |eps| <= 0.25."""
-    total = 0.0
-    p = -eps
-    for k, z in enumerate(_ZETA_M1, start=2):
-        p *= -eps
-        # p = (-1)^k eps^k
-        total += z * p / k
-    return total
-
-
-def _lanczos_ln_gamma(z: float) -> float:
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z - 1.0 + i)
-    t = z - 0.5 + _LANCZOS_G
-    return _HALF_LN_2PI + (z - 0.5) * math.log(t) - t + math.log(acc)
-
 
 def ln_gamma(z: float) -> float:
     """Natural log of the gamma function for finite z > 0.
 
-    Relative error below 1e-12 across (0, 50].  A Lanczos approximation
-    covers the generic range; shifted Taylor series take over near the
-    zeros of ln Gamma at z = 1 and z = 2, where the Lanczos form alone
-    loses relative accuracy to cancellation.  From z ~ 2.6e305 the value
-    overflows a float, and ValueError is raised.
+    The value is the standard library's ``math.lgamma``.  This wrapper adds
+    the refusals callers rely on: ValueError for z <= 0, inf and nan, and
+    from z ~ 2.6e305 on, where the value overflows a float.
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise ValueError(f"ln_gamma requires finite z > 0, got {z}")
-    if abs(z - 1.0) <= 0.25:
-        eps = z - 1.0
-        # ln Gamma(1+e) = -ln(1+e) + e(1-gamma) + sum_k (-1)^k (zeta(k)-1) e^k / k
-        return -math.log1p(eps) + eps * (1.0 - _EULER_GAMMA) + _lgamma_taylor_sum(eps)
-    if abs(z - 2.0) <= 0.25:
-        eps = z - 2.0
-        # the ln(1+e) terms of Gamma(2+e) = (1+e)Gamma(1+e) cancel exactly
-        return eps * (1.0 - _EULER_GAMMA) + _lgamma_taylor_sum(eps)
-    if z < 0.75:
-        return ln_gamma(z + 1.0) - math.log(z)
-    value = _lanczos_ln_gamma(z)
-    if not math.isfinite(value):
-        raise ValueError(f"ln_gamma({z}) overflows a float")
-    return value
-
-
-#: ln_gamma(order + 1) for bessel_j: a root tower evaluates one or two
-#: orders at every scan point.
-_ln_gamma_memo = functools.lru_cache(maxsize=64)(ln_gamma)
+    try:
+        return math.lgamma(z)
+    except OverflowError:
+        raise ValueError(f"ln_gamma({z}) overflows a float") from None
 
 
 def _rgamma(z: float) -> float:
@@ -186,7 +104,7 @@ def bessel_j(order: float, x: float) -> float:
         raise ValueError(f"bessel_j requires order > -1, got {order}")
     half_x = 0.5 * x
     q = half_x * half_x
-    term = math.exp(order * math.log(half_x) - _ln_gamma_memo(order + 1.0))
+    term = math.exp(order * math.log(half_x) - ln_gamma(order + 1.0))
     total = term
     comp = 0.0
     for k in range(1, _SERIES_MAX_TERMS + 1):
@@ -252,9 +170,9 @@ def legendre_theta(nu: float, m: float, theta: float) -> float:
     which terminates after nu - m + 1 terms exactly when nu - m is a
     non-negative integer and otherwise converges for u < 1 (slowly as
     theta -> pi; a ConvergenceError is raised rather than returning a
-    partial sum).  At moderate degree its terms grow far beyond the sum
-    and cancel; a ConvergenceError is raised once a term passes 1e5
-    rather than returning the cancelled remainder.
+    partial sum whose tail is not negligible).  At moderate degree its
+    terms grow far beyond the sum and cancel; a ConvergenceError is raised
+    once a term passes 1e5 rather than returning the cancelled remainder.
     """
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
@@ -285,6 +203,14 @@ def legendre_theta(nu: float, m: float, theta: float) -> float:
         total = t
         if size < _SERIES_REL_TOL * abs(total):
             return math.sin(theta) ** m * total
+    # next to a zero the relative stop cannot be met; the sum is kept if its
+    # tail, last * ratio / (1 - ratio) at the larger of the next term ratio
+    # and its limit u, is below 1e-15 of the first term, 1, which bounds the
+    # largest term from below without a per-term running maximum
+    n = j + 1.0
+    ratio = max(u, abs((n + a) * (n + b) / ((n + c) * (n + 1.0))) * u)
+    if abs(term) * ratio <= _SERIES_REL_TOL * (1.0 - ratio):
+        return math.sin(theta) ** m * total
     raise ConvergenceError(
         f"legendre_theta(nu={nu}, m={m}) series did not converge at "
         f"theta={theta} within {_SERIES_MAX_TERMS} terms"

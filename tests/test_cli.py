@@ -143,9 +143,12 @@ class TestEval:
         assert float(proc.stdout) == pytest.approx(-1.0, rel=1e-9)
 
     def test_log_gamma_rejects_infinity(self):
-        # 1e308 is finite, but ln Gamma overflows there
-        for x in ("inf", "1e308"):
-            proc = run_cli("eval", "--fn", "ln-gamma", "--x", x)
+        # 1e308 is finite, but ln Gamma overflows there, and so does the
+        # ln Gamma(order + 1) of the Bessel series at order 1e306
+        for argv in (("ln-gamma", "--x", "inf"), ("ln-gamma", "--x", "1e308"),
+                     ("sph-j", "--nu", "1e306", "--x", "1"),
+                     ("riccati-d", "--nu", "1e306", "--x", "1")):
+            proc = run_cli("eval", "--fn", *argv)
             assert proc.returncode == 2
             assert proc.stdout == ""
             assert proc.stderr.startswith("error:")

@@ -240,7 +240,12 @@ class TestRoots:
         # a 300-degree wedge of radius 30 mm up to x = 30, and the root
         # lists to x = 40 of the window-edge order 5 pi / Phi(27 degrees)
         # (whose TE list holds the known phantom roots), of nu = 10, and of
-        # orders whose turning point lies just below or above the window
+        # orders whose turning point lies just below or above the window.
+        # The last bits of these roots are set by the rounding noise of the
+        # ascending series, so the digest moved when ln Gamma(order + 1)
+        # came to be math.lgamma: 438 of the 674 roots present in both
+        # moved, and the worst error below x = 20 against mpmath, 1.71e-10,
+        # did not change
         monkeypatch.setattr(modes, "_TOWERS", {})
         digest = hashlib.sha256()
         radius = 0.03
@@ -254,7 +259,7 @@ class TestRoots:
                         ("TM", 33.3), ("TE", 39.4), ("TE", 120.0)):
             for x in modes._tower_roots(pol, nu, math.inf, 40.0):
                 digest.update(f"{pol} {nu.hex()} {x.hex()}\n".encode())
-        assert digest.hexdigest().startswith("0705d1c024f7aec4")
+        assert digest.hexdigest().startswith("123fcda89d801d7c")
 
     @pytest.mark.parametrize("nu", [1.5, 2.5, 3.5])
     def test_concurrent_requests_resume_one_scan(self, monkeypatch, nu):

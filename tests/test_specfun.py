@@ -43,6 +43,8 @@ class TestLnGamma:
 
     def test_lattice_against_high_precision_reference(self):
         zs = list(np.linspace(0.05, 50.0, 120)) + [0.3, 0.99, 1.001, 1.25, 1.999, 2.01]
+        # around the zeros at z = 1 and 2, where cancellation is hardest
+        zs += list(np.random.default_rng(10).uniform(0.75, 2.25, 200))
         for z in zs:
             ref = float(mp.loggamma(mp.mpf(float(z))))
             got = ln_gamma(float(z))
@@ -232,6 +234,14 @@ class TestLegendreTheta:
         u = mp.sin(mp.mpf(theta) / 2) ** 2
         ref = mp.sin(mp.mpf(theta)) ** m * mp.hyp2f1(m - nu, m + nu + 1, m + 1, u)
         assert legendre_theta(nu, m, theta) == pytest.approx(float(ref), rel=1e-13)
+
+    def test_value_next_to_a_zero_of_the_profile(self):
+        # the sum is close to 0, so its relative stop cannot be met, but the
+        # terms fall like 0.79**j and the 200-term sum is exact to rounding
+        nu, m, theta = 2.1510933942076775, 1.9101235221860728, 2.2
+        u = mp.sin(mp.mpf(theta) / 2) ** 2
+        ref = mp.sin(mp.mpf(theta)) ** m * mp.hyp2f1(m - nu, m + nu + 1, m + 1, u)
+        assert legendre_theta(nu, m, theta) == pytest.approx(float(ref), abs=1e-14)
 
     def test_non_terminating_series_reports_divergence(self):
         # non-integer nu - m close to the south pole: the series cannot

@@ -33,6 +33,7 @@ used; a dropped tower is rescanned from the same start, to the same floats.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -66,6 +67,16 @@ _BISECT_REL_WIDTH = 1e-12
 
 class RootNotFoundError(LookupError):
     """No qualifying root below the evaluation cap ``x = BESSEL_X_MAX``."""
+
+
+def _check_index(name: str, value: object, least: int) -> None:
+    """Refuse ``value`` unless it is an integer (not ``2.0``) >= ``least``."""
+    try:
+        if operator.index(value) >= least:
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,10 +131,9 @@ class ModeId:
     def __post_init__(self) -> None:
         if self.polarisation not in ("TM", "TE"):
             raise ValueError("polarisation must be 'TM' or 'TE'")
-        if self.polarisation == "TM" and self.n < 1:
-            raise ValueError("TM modes require n >= 1")
-        if self.n < 0 or self.k < 0 or self.s < 1:
-            raise ValueError("indices must satisfy n >= 0, k >= 0, s >= 1")
+        _check_index("harmonic number n", self.n, 1 if self.polarisation == "TM" else 0)
+        _check_index("lowering count k", self.k, 0)
+        _check_index("radial index s", self.s, 1)
         if self.m < 0.0:
             raise ValueError("azimuthal index m must be non-negative")
 
@@ -155,8 +165,7 @@ class ModeRecord:
 
 def azimuthal_index(n: int, config: WedgeConfig) -> float:
     """Wall-quantised azimuthal index ``m_n = n pi / Phi``."""
-    if n < 0:
-        raise ValueError("harmonic number n must be non-negative")
+    _check_index("harmonic number n", n, 0)
     return n * math.pi / config.domain_phi
 
 
@@ -247,8 +256,7 @@ def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]
 def _root(pol: str, nu: float, s: int) -> float:
     if not 0.0 <= nu < math.inf:
         raise ValueError(f"order nu must be finite and non-negative, got {nu}")
-    if s < 1:
-        raise ValueError("root index s counts from 1")
+    _check_index("root index s", s, 1)
     roots = _tower_roots(pol, nu, s, BESSEL_X_MAX)
     if len(roots) < s:
         raise RootNotFoundError(
@@ -358,24 +366,24 @@ def te_field_shape(nu: float, m: float, x_arg: float, theta: float) -> tuple[flo
         e_theta = (m / sin theta) * j_nu(x_arg) * Theta_nu^m(theta)
         e_phi   =                   j_nu(x_arg) * d Theta_nu^m / d theta
 
-    The colatitude derivative is taken by 4th-order central finite
-    differences of the angular profile.  For ``m = 0`` the first component
+    The colatitude derivative is the raising operator's closed form
+    ``m cot(theta) Theta_nu^m + c Theta_nu^(m+1)`` with
+    ``c = (m - nu)(m + nu + 1) / (2 (m + 1))``; ``c`` is zero on the sectoral
+    profile ``nu = m``, which the raising operator annihilates, and
+    ``Theta_nu^(m+1)`` is then not evaluated.  For ``m = 0`` the first component
     vanishes identically through its prefactor, and for ``nu = m = 0`` the
     profile is constant, so both components are zero.
     """
     if not 0.0 < theta < math.pi:
         raise ValueError("theta must lie strictly inside (0, pi)")
     radial = spherical_j(nu, x_arg)
+    profile = legendre_theta(nu, m, theta)
     if m == 0.0:
         e_theta = 0.0
     else:
-        e_theta = m / math.sin(theta) * radial * legendre_theta(nu, m, theta)
-    h = min(1e-5, 0.25 * theta, 0.25 * (math.pi - theta))
-    samples = (
-        legendre_theta(nu, m, theta - 2.0 * h),
-        legendre_theta(nu, m, theta - h),
-        legendre_theta(nu, m, theta + h),
-        legendre_theta(nu, m, theta + 2.0 * h),
-    )
-    d_theta = (samples[0] - 8.0 * samples[1] + 8.0 * samples[2] - samples[3]) / (12.0 * h)
+        e_theta = m / math.sin(theta) * radial * profile
+    d_theta = m / math.tan(theta) * profile
+    if nu != m:
+        c = (m - nu) * (m + nu + 1.0) / (2.0 * (m + 1.0))
+        d_theta += c * legendre_theta(nu, m + 1.0, theta)
     return e_theta, radial * d_theta

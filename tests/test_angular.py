@@ -23,6 +23,7 @@ from wedgemodes.angular import (
     south_pole_coefficient,
     uniform_grid,
 )
+from wedgemodes.specfun import legendre_theta
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +131,21 @@ class TestRaising:
         with pytest.raises(ValueError):
             apply_raising(f)
 
+    @pytest.mark.parametrize("m", [0.0, 2.0 / 3.0, 0.540541, 1.5])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_raises_legendre_profile_to_next_weight(self, grid, mask, m, k):
+        # L+ Theta_nu^m = (m - nu)(m + nu + 1) / (2 (m + 1)) Theta_nu^(m+1),
+        # the closed form te_field_shape differentiates with; zero at k = 0
+        nu = m + k
+        f = AngularFunction(
+            m=m, theta_grid=grid, values=np.array([legendre_theta(nu, m, t) for t in grid])
+        )
+        raised = apply_raising(f)
+        coef = (m - nu) * (m + nu + 1.0) / (2.0 * (m + 1.0))
+        want = np.array([coef * legendre_theta(nu, m + 1.0, t) if k else 0.0 for t in grid])
+        err = np.max(np.abs(raised.values[mask] - want[mask]))
+        assert err <= 1e-8 * np.max(np.abs(f.values))
+
 
 class TestLowering:
     def test_weight_one_sectoral_gives_minus_two_cosine(self, grid, mask):
@@ -216,6 +232,15 @@ class TestBuildTesseral:
         assert built.m == 0.0
         target = AngularFunction(m=0.0, theta_grid=grid, values=np.cos(grid))
         assert collinearity(built, target) >= 1.0 - 1e-8
+
+    @pytest.mark.parametrize("m", [0.0, 2.0 / 3.0, 0.540541, 1.5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_legendre_profile_of_the_same_degree(self, grid, m, k):
+        built = build_tesseral(m, k, grid)
+        target = AngularFunction(
+            m=m, theta_grid=grid, values=np.array([legendre_theta(m + k, m, t) for t in grid])
+        )
+        assert collinearity(built, target) >= 1.0 - 1e-12
 
     def test_zero_steps_returns_sectoral(self, grid):
         built = build_tesseral(0.75, 0, grid)

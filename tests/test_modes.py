@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -77,6 +78,17 @@ class TestModeId:
         with pytest.raises(ValueError):
             ModeId(polarisation="TM", n=1, k=-1, s=1, m=1.0)
 
+    @pytest.mark.parametrize("field", ["n", "k", "s"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, math.nan])
+    def test_rejects_non_integral_indices(self, field, value):
+        indices = {"n": 1, "k": 1, "s": 1, field: value}
+        with pytest.raises(ValueError, match="must be an integer"):
+            ModeId(polarisation="TE", m=1.0, **indices)
+
+    def test_accepts_numpy_integer_indices(self):
+        mode = ModeId(polarisation="TE", n=np.int64(1), k=np.int64(2), s=np.int64(1), m=1.0)
+        assert mode.nu == 3.0
+
 
 class TestModeRecord:
     def _mode(self):
@@ -104,6 +116,14 @@ class TestAzimuthalIndex:
         cfg = WedgeConfig.from_degrees(90.0, RADIUS)
         with pytest.raises(ValueError):
             azimuthal_index(-1, cfg)
+
+    def test_rejects_non_integral_harmonic(self):
+        # m = n pi / Phi is quantised only at integer n
+        cfg = WedgeConfig.from_degrees(90.0, RADIUS)
+        for n in (1.5, 2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be an integer"):
+                azimuthal_index(n, cfg)
+        assert azimuthal_index(np.int64(2), cfg) == azimuthal_index(2, cfg)
 
 
 class TestRoots:
@@ -153,6 +173,17 @@ class TestRoots:
     def test_rejects_zero_radial_index(self):
         with pytest.raises(ValueError):
             te_root(1.0, 0)
+
+    def test_rejects_non_integral_radial_index(self):
+        # refused before the memo is touched; integer calls are unaffected
+        first = te_root(1.0, 1)
+        memo = {key: (list(t.roots), t.x, t.f) for key, t in modes._TOWERS.items()}
+        for root in (te_root, tm_root):
+            for s in (1.5, 2.0, math.nan, math.inf, "2"):
+                with pytest.raises(ValueError, match="root index s must be an integer"):
+                    root(1.0, s)
+        assert {key: (list(t.roots), t.x, t.f) for key, t in modes._TOWERS.items()} == memo
+        assert te_root(1.0, np.int64(1)) == first
 
     def test_first_roots_increase_with_degree(self):
         orders = np.arange(0.0, 3.05, 0.1)
@@ -419,17 +450,37 @@ class TestTeFieldShape:
         assert e_theta == 0.0
         # profile cos(theta) differentiates to -sin(theta)
         expected_phi = spherical_j(1.0, 2.0) * (-math.sin(0.7))
-        assert e_phi == pytest.approx(expected_phi, rel=1e-9)
+        assert e_phi == pytest.approx(expected_phi, rel=1e-13)
 
     def test_sectoral_mode_components(self):
         e_theta, e_phi = te_field_shape(1.0, 1.0, 2.0, 0.7)
         radial = spherical_j(1.0, 2.0)
         # (m/sin) * sin profile cancels to the bare radial factor
         assert e_theta == pytest.approx(radial, rel=1e-12)
-        assert e_phi == pytest.approx(radial * math.cos(0.7), rel=1e-8)
+        assert e_phi == pytest.approx(radial * math.cos(0.7), rel=1e-13)
 
     def test_null_mode_yields_zero_field(self):
         assert te_field_shape(0.0, 0.0, 2.0, 1.1) == (0.0, 0.0)
+
+    def test_derivative_against_high_precision_reference(self):
+        # e_phi / j_nu is d Theta / d theta; the reference differentiates
+        # sin^m * 2F1(m - nu, m + nu + 1; m + 1; sin^2(theta/2)) in mpmath
+        def profile(nu, m, t):
+            return mp.sin(t) ** m * mp.hyp2f1(m - nu, m + nu + 1, m + 1, mp.sin(t / 2) ** 2)
+
+        rng = np.random.default_rng(11)
+        samples = np.linspace(0.05, 2.4, 8)
+        with mp.workdps(30):
+            for _ in range(100):
+                m = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.05, 6.0))
+                nu = m + int(rng.integers(0, 7))
+                x = float(rng.uniform(0.5, 12.0))
+                theta = float(rng.uniform(0.05, 2.4))
+                _, e_phi = te_field_shape(nu, m, x, theta)
+                size = max(abs(profile(nu, m, float(t))) for t in samples)
+                want = mp.diff(lambda t: profile(nu, m, t), theta)
+                err = abs(e_phi / spherical_j(nu, x) - want)
+                assert err <= 1e-11 * size * (nu + 1.0), (nu, m, x, theta)
 
     @pytest.mark.parametrize("theta", [0.0, math.pi, -1.0])
     def test_rejects_polar_angles(self, theta):

@@ -16,13 +16,17 @@ families: sectoral (``nu = m > 0``), tesseral (``nu > m > 0``) and zonal
 ``nu = m = 0`` solution has a non-trivial potential but an identically zero
 field, so the enumerator never emits it.
 
-Roots are located by a fixed-step scan (step 0.05 — consecutive roots of
-interest are separated by more than one unit, so no sign change can be
-skipped) refined by bisection to a relative width of 1e-12, giving
-deterministic, reproducible spectra.  The scan runs on the grid
-``0.05 + 0.05 + ...`` accumulated by addition, but a tower's first
-evaluation is at the last grid point below its turning point
-``sqrt(nu (nu + 1))``: no root lies below it (see :func:`_tower_roots`).
+Roots are located by a fixed-step scan (step 0.05) refined by bisection
+to a relative width of 1e-12, giving deterministic, reproducible spectra.
+The scan runs on the grid ``0.05 + 0.05 + ...`` accumulated by addition,
+but evaluates only where a root can be.  The Pruefer angle of
+``u = x j_nu`` grows by at most one radian per unit of ``x``, so
+consecutive roots of either polarisation are at least ``pi`` apart, no TM
+root lies below the turning point ``sqrt(nu (nu + 1))``, and no TE root
+below it plus ``pi / 2``.  A tower's first evaluation is at the last grid
+point below that bound, and after each root the scan resumes at the last
+grid point ``pi - 0.05`` above it (see :func:`_tower_roots`); no sign
+change on the grid can be skipped.
 Each (polarisation, nu) tower is scanned once: a memo keeps its roots and
 the point where its scan stopped, and later requests resume the scan
 there, so a root is the same float however it was first reached.  The
@@ -207,6 +211,14 @@ _TOWERS_MAX = 2048
 _TOWERS_LOCK = threading.Lock()
 
 
+def _grid_floor(x: float, bound: float) -> float:
+    """The last point of the scan grid from ``x`` at or below ``bound``,
+    reached by the scan's own additions without evaluating anything."""
+    while x + _SCAN_STEP <= bound:
+        x += _SCAN_STEP
+    return x
+
+
 def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]:
     """The roots of the (pol, nu) tower found so far, ascending.
 
@@ -215,25 +227,36 @@ def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]
     window.  The list may hold roots beyond ``count`` or above ``x_cap``
     from earlier scans; it is the memo itself, so callers must not modify it.
 
-    No root lies at or below the turning point ``t = sqrt(nu (nu + 1))``:
-    ``u = x j_nu(x)`` solves ``u'' = (nu (nu + 1) / x**2 - 1) u``, so ``u``
-    and ``u'`` stay positive up to ``t``.  A tower with ``t >= x_cap`` is
-    not scanned, and a new tower's scan starts at the last grid point
-    below ``t``.  That point is reached by the same additions as the scan
-    itself, so the brackets, and with them the roots, are the floats a scan
-    from ``x = 0.05`` would find.
+    The scan evaluates only where a root can be.  ``u = x j_nu(x)`` solves
+    ``u'' + q u = 0`` with ``q = 1 - nu (nu + 1) / x**2 <= 1``, so the
+    Pruefer angle ``phi`` of ``u = rho sin(phi)``, ``u' = rho cos(phi)``
+    obeys ``phi' = cos(phi)**2 + q sin(phi)**2 <= 1``.  Hence:
+
+    * up to the turning point ``t = sqrt(nu (nu + 1))`` both ``u`` and
+      ``u'`` stay positive, so ``phi(t) < pi / 2``: no TM root lies at or
+      below ``t``, and no TE root (``phi = pi``) at or below ``t + pi / 2``;
+    * consecutive TE roots (``phi`` steps by ``pi``) are at least ``pi``
+      apart, and so are consecutive TM roots.
+
+    A tower with its first root's bound at or above ``x_cap`` is not
+    scanned.  A new tower's scan starts at the last grid point at or below
+    ``t`` (TM) or ``t + pi / 2 - 0.05`` (TE), and after each root ``r`` it
+    resumes at the last grid point at or below ``r + pi - 0.05``.  Those
+    points are reached by the same additions as the scan itself, so the
+    brackets, and with them the roots, are the floats a scan of every grid
+    point from ``x = 0.05`` would find.
     """
-    turn = math.sqrt(nu * (nu + 1.0))
-    if turn >= x_cap:
+    lowest = math.sqrt(nu * (nu + 1.0))
+    if pol == "TE":
+        lowest += 0.5 * math.pi
+    if lowest >= x_cap:
         return []
     func = spherical_j if pol == "TE" else riccati_derivative
     key = (pol, nu)
     with _TOWERS_LOCK:
         tower = _TOWERS.pop(key, None)
         if tower is None:
-            x = _SCAN_START
-            while x + _SCAN_STEP <= turn:
-                x += _SCAN_STEP
+            x = _grid_floor(_SCAN_START, lowest - _SCAN_STEP if pol == "TE" else lowest)
             tower = _Tower(x, func(nu, x))
             if len(_TOWERS) >= _TOWERS_MAX:
                 del _TOWERS[next(iter(_TOWERS))]
@@ -244,10 +267,11 @@ def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]
             if x_next > BESSEL_X_MAX:
                 break
             f_next = func(nu, x_next)
-            if f_next == 0.0:
-                roots.append(x_next)
-            elif (f_x < 0.0) != (f_next < 0.0):
-                roots.append(_bisect(func, nu, x, f_x, x_next))
+            if f_next == 0.0 or (f_x < 0.0) != (f_next < 0.0):
+                root = x_next if f_next == 0.0 else _bisect(func, nu, x, f_x, x_next)
+                roots.append(root)
+                x_next = _grid_floor(x_next, min(root + math.pi - _SCAN_STEP, BESSEL_X_MAX))
+                f_next = func(nu, x_next)
             x, f_x = x_next, f_next
         tower.x, tower.f = x, f_x
     return roots

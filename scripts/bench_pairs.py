@@ -1,14 +1,15 @@
-"""Benchmark two source trees in alternating pairs and write a BENCH_*.json.
+"""Benchmark two commits in alternating pairs and write a BENCH_*.json.
 
     python3 scripts/bench_pairs.py --base HEAD~1 --head HEAD \\
-        --workload wide-spectrum --pairs 10 --seed 301 --out BENCH_x.json
+        --workload wide-spectrum --seed 301 --out BENCH_x.json
 
-``--base`` and ``--head`` each name a git ref, checked out with
-``git worktree add --detach`` into a temporary directory and removed
-afterwards, or an existing source tree (a directory holding
-``perfbench/run.py``), used as it is.  Each tree runs its own unmodified
-``perfbench/run.py``.  For every workload, pair ``i`` runs both trees with
-seed ``--seed + i``; even pairs run the base first and odd pairs the head.
+``--base`` and ``--head`` each name a git ref.  Its committed files are
+exported with ``git archive`` into a temporary directory, removed
+afterwards, and each tree runs its own unmodified ``perfbench/run.py`` for
+BENCHMARK.json's ``run_seconds``.  For every workload, pair ``i`` of the
+ten runs both trees with seed ``--seed + i``; even pairs run the base
+first and odd pairs the head.  Ten alternating pairs is the least from
+which a gain may be claimed.
 
 Both trees start every run in the same bytecode state: the tree's
 ``__pycache__`` directories under ``src/`` and ``perfbench/`` are deleted and
@@ -24,6 +25,7 @@ Progress goes to stderr.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -31,11 +33,13 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def _git(*args: str) -> str:
@@ -44,22 +48,19 @@ def _git(*args: str) -> str:
 
 
 @contextmanager
-def source_tree(spec: str):
-    """(path, description) of the tree ``spec`` names: an existing directory,
-    or a git ref checked out in a temporary worktree for the duration."""
-    path = Path(spec)
-    if (path / "perfbench" / "run.py").is_file():
-        yield path.resolve(), {"tree": str(path.resolve())}
-        return
-    commit = _git("rev-parse", "--verify", f"{spec}^{{commit}}")
-    scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    tree = scratch / commit[:12]
-    _git("worktree", "add", "--detach", str(tree), commit)
+def source_tree(ref: str):
+    """(path, description) of the committed files of ``ref``, exported into
+    a temporary directory for the duration."""
+    commit = _git("rev-parse", "--verify", f"{ref}^{{commit}}")
+    tree = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        yield tree, {"ref": spec, "commit": commit}
+        archive = subprocess.run(["git", "archive", commit], cwd=REPO, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree)
+        yield tree, {"ref": ref, "commit": commit}
     finally:
-        _git("worktree", "remove", "--force", str(tree))
-        shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(tree, ignore_errors=True)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -102,41 +103,35 @@ def compare(base: list[dict], head: list[dict], end_to_end: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--base", required=True, help="git ref or source tree of the parent")
-    p.add_argument("--head", default="HEAD", help="git ref or source tree of the change")
+    p.add_argument("--base", required=True, help="git ref of the parent")
+    p.add_argument("--head", default="HEAD", help="git ref of the change")
     p.add_argument("--workload", action="append", required=True,
                    help="workload name; repeat for several")
-    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    p.add_argument("--seconds", type=float,
-                   help="length of each run (default: BENCHMARK.json run_seconds)")
     p.add_argument("--trace-seed", type=int, help="also make one traced run per side")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2 for quartiles")
 
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    if args.seconds is None:
-        args.seconds = float(spec["run_seconds"])
+    seconds = float(spec["run_seconds"])
     result = {"host": {"machine": platform.machine(), "processor": platform.processor(),
                        "cpus": os.cpu_count(), "python": platform.python_version()},
-              "pairs": args.pairs, "seconds": args.seconds, "workloads": {}}
+              "pairs": PAIRS, "seconds": seconds, "workloads": {}}
     with ExitStack() as stack:
         base, result["base"] = stack.enter_context(source_tree(args.base))
         head, result["head"] = stack.enter_context(source_tree(args.head))
         for workload in args.workload:
             runs = {"base": [], "head": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = (("base", base), ("head", head))
                 for side, tree in order if i % 2 == 0 else order[::-1]:
-                    print(f"{workload} pair {i + 1}/{args.pairs} {side}", file=sys.stderr)
-                    runs[side].append(run_once(tree, workload, args.seed + i, args.seconds, 0))
+                    print(f"{workload} pair {i + 1}/{PAIRS} {side}", file=sys.stderr)
+                    runs[side].append(run_once(tree, workload, args.seed + i, seconds, 0))
             entry = compare(runs["base"], runs["head"], spec["end_to_end"])
-            entry["seeds"] = [args.seed, args.seed + args.pairs - 1]
+            entry["seeds"] = [args.seed, args.seed + PAIRS - 1]
             if args.trace_seed is not None:
                 entry["traced"] = {
-                    side: run_once(tree, workload, args.trace_seed, args.seconds, 1)["metrics"]
+                    side: run_once(tree, workload, args.trace_seed, seconds, 1)["metrics"]
                     for side, tree in (("base", base), ("head", head))}
             result["workloads"][workload] = entry
     args.out.write_text(json.dumps(result, indent=1) + "\n")

@@ -240,11 +240,11 @@ def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]
 
     A tower with its first root's bound at or above ``x_cap`` is not
     scanned.  A new tower's scan starts at the last grid point at or below
-    ``t`` (TM) or ``t + pi / 2 - 0.05`` (TE), and after each root ``r`` it
-    resumes at the last grid point at or below ``r + pi - 0.05``.  Those
-    points are reached by the same additions as the scan itself, so the
-    brackets, and with them the roots, are the floats a scan of every grid
-    point from ``x = 0.05`` would find.
+    that bound, ``t`` (TM) or ``t + pi / 2`` (TE), and after each root
+    ``r`` it resumes at the last grid point at or below ``r + pi - 0.05``.
+    Those points are reached by the same additions as the scan itself, so
+    the brackets, and with them the roots, are the floats a scan of every
+    grid point from ``x = 0.05`` would find.
     """
     lowest = math.sqrt(nu * (nu + 1.0))
     if pol == "TE":
@@ -256,7 +256,7 @@ def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]
     with _TOWERS_LOCK:
         tower = _TOWERS.pop(key, None)
         if tower is None:
-            x = _grid_floor(_SCAN_START, lowest - _SCAN_STEP if pol == "TE" else lowest)
+            x = _grid_floor(_SCAN_START, lowest)
             tower = _Tower(x, func(nu, x))
             if len(_TOWERS) >= _TOWERS_MAX:
                 del _TOWERS[next(iter(_TOWERS))]

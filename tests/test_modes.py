@@ -200,7 +200,7 @@ class TestRoots:
         # restarting the scan from x = 0.05 for every radial index costs
         # 4091 evaluations here; one resumed scan of every grid point from
         # the turning point costs 953, and skipping the pi - 0.05 after
-        # each root where no root can lie leaves 385
+        # each root where no root can lie leaves 384
         calls = 0
 
         def counted(nu, x):
@@ -214,7 +214,7 @@ class TestRoots:
         while te_root(1.0, s) < 30.0:
             s += 1
         assert s == 10
-        assert calls == 385
+        assert calls == 384
 
     def test_root_is_the_same_float_before_and_after_enumeration(self, monkeypatch):
         cfg = WedgeConfig.from_degrees(90.0, RADIUS)
@@ -236,8 +236,8 @@ class TestRoots:
                                            ("TM", "riccati_derivative")])
     def test_scan_starts_at_the_turning_point(self, monkeypatch, pol, func):
         # from x = 0.05 the nu = 10 tower costs 464 evaluations up to x = 20;
-        # starting below sqrt(110) ~ 10.49 (TM) or sqrt(110) + pi/2 - 0.05
-        # (TE) and skipping pi - 0.05 after each root leaves 139 and 147
+        # starting below sqrt(110) ~ 10.49 (TM) or sqrt(110) + pi/2 (TE) and
+        # skipping pi - 0.05 after each root leaves 139 and 146
         calls = 0
         plain = getattr(modes, func)
 
@@ -250,7 +250,7 @@ class TestRoots:
         monkeypatch.setattr(modes, func, counted)
         roots = modes._tower_roots(pol, 10.0, math.inf, 20.0)
         assert len(roots) == 2
-        assert calls == {"TE": 147, "TM": 139}[pol]
+        assert calls == {"TE": 146, "TM": 139}[pol]
 
     @pytest.mark.parametrize("pol", ["TE", "TM"])
     def test_skipping_keeps_the_floats_of_a_plain_scan(self, monkeypatch, pol):
@@ -282,6 +282,24 @@ class TestRoots:
             want = plain_scan(nu)
             assert [x for x in got if x < 34.0] == [x for x in want if x < 34.0], nu
             assert set(got) <= set(want), nu
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="above x ~ 34 the Bessel values are inaccurate: the 11th root "
+        "comes out at 36.728 (mpmath 36.676), the skip after it resumes the "
+        "scan at 39.82, and the 12th root at 39.821 is lost",
+    )
+    def test_skip_after_a_misplaced_root_keeps_the_next_one(self, monkeypatch):
+        nu = 1.3773128604344242
+        monkeypatch.setattr(modes, "_TOWERS", {})
+        got = modes._tower_roots("TE", nu, math.inf, 40.0)
+        with mp.workdps(30):
+            mu = mp.mpf(nu) + mp.mpf(1) / 2
+            want = 0
+            while mp.besseljzero(mu, want + 1) < 40:
+                want += 1
+        assert len(got) == want
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 2.0 / 3.0, 2.7027027027027026, 10.0, 17.3, 29.6])
     def test_pruefer_bounds_hold_for_mpmath_zeros(self, nu):

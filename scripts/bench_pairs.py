@@ -57,7 +57,7 @@ def source_tree(ref: str):
         archive = subprocess.run(["git", "archive", commit], cwd=REPO, check=True,
                                  capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tree)
+            tar.extractall(tree, filter="data")
         yield tree, {"ref": ref, "commit": commit}
     finally:
         shutil.rmtree(tree, ignore_errors=True)

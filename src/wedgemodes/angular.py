@@ -172,8 +172,8 @@ def sectoral(m: float, grid: np.ndarray) -> AngularFunction:
     The raising operator annihilates this profile for every real
     ``m >= 0``; at ``m = 0`` it degenerates to the constant 1.
     """
-    if m < 0.0:
-        raise ValueError("weight m must be non-negative")
+    if not 0.0 <= m < math.inf:
+        raise ValueError("weight m must be finite and non-negative")
     grid = np.asarray(grid, dtype=float)
     return AngularFunction(m=m, theta_grid=grid, values=np.sin(grid) ** m)
 

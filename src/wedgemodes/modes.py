@@ -16,17 +16,21 @@ families: sectoral (``nu = m > 0``), tesseral (``nu > m > 0``) and zonal
 ``nu = m = 0`` solution has a non-trivial potential but an identically zero
 field, so the enumerator never emits it.
 
-Roots are located by a fixed-step scan (step 0.05) refined by bisection
+Roots are located on a fixed grid (step 0.05) and refined by bisection
 to a relative width of 1e-12, giving deterministic, reproducible spectra.
-The scan runs on the grid ``0.05 + 0.05 + ...`` accumulated by addition,
-but evaluates only where a root can be.  The Pruefer angle of
+The grid ``0.05 + 0.05 + ...`` is accumulated by addition once, and the
+scan evaluates only where a root can be.  The Pruefer angle of
 ``u = x j_nu`` grows by at most one radian per unit of ``x``, so
 consecutive roots of either polarisation are at least ``pi`` apart, no TM
 root lies below the turning point ``sqrt(nu (nu + 1))``, and no TE root
 below it plus ``pi / 2``.  A tower's first evaluation is at the last grid
 point below that bound, and after each root the scan resumes at the last
-grid point ``pi - 0.05`` above it (see :func:`_tower_roots`); no sign
-change on the grid can be skipped.
+grid point ``pi - 0.05`` above it.  From any scan point ``g`` below the
+next root, the grid points in ``(g, g + pi]`` hold at most one root, so
+the scan evaluates that window's end and, if the sign changed, halves the
+window down to the bracketing grid pair (see :func:`_tower_roots`).  Above
+``x = 34``, where the values are inaccurate, it steps every point.  The
+brackets are those a scan of every grid point would find.
 Each (polarisation, nu) tower is scanned once: a memo keeps its roots and
 the point where its scan stopped, and later requests resume the scan
 there, so a root is the same float however it was first reached.  The
@@ -39,6 +43,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .specfun import BESSEL_X_MAX, riccati_derivative, spherical_j
@@ -65,8 +70,16 @@ __all__ = [
 SPEED_OF_LIGHT = 299_792_458.0
 
 _SCAN_STEP = 0.05
-_SCAN_START = 0.05
 _BISECT_REL_WIDTH = 1e-12
+#: Above this x the characteristic values are too inaccurate for a window
+#: of pi to hold at most one sign change, so the scan steps every point.
+_HALVING_MAX_X = 34.0
+
+#: The scan grid 0.05, 0.05 + 0.05, ... up to x = 40, accumulated by
+#: addition once, so that every scan and resume point is the same float.
+_GRID = [_SCAN_STEP]
+while _GRID[-1] + _SCAN_STEP <= BESSEL_X_MAX:
+    _GRID.append(_GRID[-1] + _SCAN_STEP)
 
 
 class RootNotFoundError(LookupError):
@@ -138,8 +151,8 @@ class ModeId:
         _check_index("harmonic number n", self.n, 1 if self.polarisation == "TM" else 0)
         _check_index("lowering count k", self.k, 0)
         _check_index("radial index s", self.s, 1)
-        if self.m < 0.0:
-            raise ValueError("azimuthal index m must be non-negative")
+        if not 0.0 <= self.m < math.inf:
+            raise ValueError("azimuthal index m must be finite and non-negative")
 
     @property
     def nu(self) -> float:
@@ -158,8 +171,8 @@ class ModeRecord:
     freq_hz: float
 
     def __post_init__(self) -> None:
-        if self.x <= 0.0 or self.freq_hz <= 0.0:
-            raise ValueError("root and frequency must be positive")
+        if not (0.0 < self.x < math.inf and 0.0 < self.freq_hz < math.inf):
+            raise ValueError("root and frequency must be positive and finite")
 
     @property
     def family(self) -> str:
@@ -190,14 +203,14 @@ def _bisect(func, nu: float, lo: float, f_lo: float, hi: float) -> float:
 
 class _Tower:
     """Resumable scan of one (polarisation, nu) root tower: the roots found
-    so far, ascending, and the last scan point ``x`` with the
-    characteristic value ``f`` there."""
+    so far, ascending, and the ``_GRID`` index of the last scan point with
+    the characteristic value ``f`` there."""
 
-    __slots__ = ("roots", "x", "f")
+    __slots__ = ("roots", "index", "f")
 
-    def __init__(self, x: float, f: float) -> None:
+    def __init__(self, index: int, f: float) -> None:
         self.roots: list[float] = []
-        self.x = x
+        self.index = index
         self.f = f
 
 
@@ -211,20 +224,12 @@ _TOWERS_MAX = 2048
 _TOWERS_LOCK = threading.Lock()
 
 
-def _grid_floor(x: float, bound: float) -> float:
-    """The last point of the scan grid from ``x`` at or below ``bound``,
-    reached by the scan's own additions without evaluating anything."""
-    while x + _SCAN_STEP <= bound:
-        x += _SCAN_STEP
-    return x
-
-
 def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]:
     """The roots of the (pol, nu) tower found so far, ascending.
 
     Resumes the tower's scan until it holds ``count`` roots, its scan point
-    has passed ``x_cap``, or the next point would pass the ``x = 40``
-    window.  The list may hold roots beyond ``count`` or above ``x_cap``
+    has passed ``x_cap``, or it stands on the last grid point at or below
+    ``x = 40``.  The list may hold roots beyond ``count`` or above ``x_cap``
     from earlier scans; it is the memo itself, so callers must not modify it.
 
     The scan evaluates only where a root can be.  ``u = x j_nu(x)`` solves
@@ -240,11 +245,24 @@ def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]
 
     A tower with its first root's bound at or above ``x_cap`` is not
     scanned.  A new tower's scan starts at the last grid point at or below
-    that bound, ``t`` (TM) or ``t + pi / 2`` (TE), and after each root
-    ``r`` it resumes at the last grid point at or below ``r + pi - 0.05``.
-    Those points are reached by the same additions as the scan itself, so
-    the brackets, and with them the roots, are the floats a scan of every
-    grid point from ``x = 0.05`` would find.
+    that bound, ``t`` (TM) or ``t + pi / 2`` (TE), or at the first grid
+    point if the bound lies below it, and after each root ``r`` it resumes
+    at the last grid point at or below ``r + pi - 0.05``.
+
+    From its scan point ``g``, below the next root ``r'``, the scan takes
+    the window of grid points in ``(g, g + pi]``.  The root after ``r'``
+    lies above ``r' + pi > g + pi``, so the window holds at most one root,
+    and its bracket is the first grid pair across which the sign changes
+    (or whose upper value is exactly 0.0).  The scan evaluates the window's
+    end: an unchanged sign means the window is root-free, and the scan
+    moves there; otherwise it halves the window over grid indices down to
+    that pair and bisects it.  A window ends at most at the first grid
+    point above ``x_cap`` and the last at or below ``_HALVING_MAX_X = 34``;
+    from there on the window is one step, because the inaccurate values
+    above x ~ 34 can change sign several times within ``pi``.  All points
+    come from one accumulated grid, so the brackets, and with them the
+    roots, are the floats a scan of every grid point from ``x = 0.05``
+    finds wherever the computed signs are right.
     """
     lowest = math.sqrt(nu * (nu + 1.0))
     if pol == "TE":
@@ -253,27 +271,39 @@ def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]
         return []
     func = spherical_j if pol == "TE" else riccati_derivative
     key = (pol, nu)
+    last = len(_GRID) - 1
+    cap_end = min(bisect_right(_GRID, x_cap), last)
+    halving_end = bisect_right(_GRID, _HALVING_MAX_X) - 1
     with _TOWERS_LOCK:
         tower = _TOWERS.pop(key, None)
         if tower is None:
-            x = _grid_floor(_SCAN_START, lowest)
-            tower = _Tower(x, func(nu, x))
+            i = max(bisect_right(_GRID, lowest) - 1, 0)
+            tower = _Tower(i, func(nu, _GRID[i]))
             if len(_TOWERS) >= _TOWERS_MAX:
                 del _TOWERS[next(iter(_TOWERS))]
         _TOWERS[key] = tower
-        roots, x, f_x = tower.roots, tower.x, tower.f
-        while len(roots) < count and x <= x_cap:
-            x_next = x + _SCAN_STEP
-            if x_next > BESSEL_X_MAX:
-                break
-            f_next = func(nu, x_next)
-            if f_next == 0.0 or (f_x < 0.0) != (f_next < 0.0):
-                root = x_next if f_next == 0.0 else _bisect(func, nu, x, f_x, x_next)
-                roots.append(root)
-                x_next = _grid_floor(x_next, min(root + math.pi - _SCAN_STEP, BESSEL_X_MAX))
-                f_next = func(nu, x_next)
-            x, f_x = x_next, f_next
-        tower.x, tower.f = x, f_x
+        roots, i, f_i = tower.roots, tower.index, tower.f
+        while len(roots) < count and _GRID[i] <= x_cap and i < last:
+            hi = min(bisect_right(_GRID, _GRID[i] + math.pi) - 1, cap_end,
+                     max(i + 1, halving_end))
+            f_hi = func(nu, _GRID[hi])
+            if f_hi != 0.0 and (f_i < 0.0) == (f_hi < 0.0):
+                i, f_i = hi, f_hi
+                continue
+            lo, f_lo = i, f_i
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                f_mid = func(nu, _GRID[mid])
+                if f_mid != 0.0 and (f_lo < 0.0) == (f_mid < 0.0):
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi, f_hi = mid, f_mid
+            x_hi = _GRID[hi]
+            root = x_hi if f_hi == 0.0 else _bisect(func, nu, _GRID[lo], f_lo, x_hi)
+            roots.append(root)
+            i = bisect_right(_GRID, root + math.pi - _SCAN_STEP) - 1
+            f_i = func(nu, _GRID[i])
+        tower.index, tower.f = i, f_i
     return roots
 
 

@@ -105,6 +105,13 @@ class TestSectoral:
         with pytest.raises(ValueError):
             sectoral(-0.5, grid)
 
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    def test_rejects_non_finite_weight(self, grid, m):
+        # sin(theta) ** inf is an all-zero profile, which the ladder
+        # operators would carry on as weight inf
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            sectoral(m, grid)
+
 
 class TestRaising:
     def test_annihilates_highest_weight_profile(self, grid, mask):

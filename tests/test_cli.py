@@ -79,6 +79,21 @@ class TestSpectrum:
         digest = hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
         assert digest.startswith("df212b1c6cb0582f")
 
+    @pytest.mark.parametrize("args, prefix", [
+        # the paper's narrowest table wedge at its 14 GHz cap, as JSON
+        (("--radius-mm", "15", "--wedge-deg", "27", "--fmax-ghz", "14",
+          "--format", "json"), "7fe9e67922064bd8"),
+        # 530 modes of a 300 degree wedge of radius 30 mm, up to x ~ 28,
+        # where the root scan halves its windows
+        (("--radius-mm", "30", "--wedge-deg", "300", "--fmax-ghz", "45"),
+         "36798cdd12d1f39a"),
+    ])
+    def test_spectrum_stdout_is_frozen(self, args, prefix):
+        proc = run_cli("spectrum", *args)
+        assert proc.returncode == 0
+        digest = hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
+        assert digest.startswith(prefix)
+
     def test_narrow_domain_lists_only_zonal_modes(self):
         # a 0.5 degree domain puts m = 360 n far above the cap x = 6.29 of
         # 20 GHz, so only the two zonal TE roots below the cap remain
@@ -193,6 +208,10 @@ class TestValidate:
         # rows that miss the tolerance are explained on stderr
         assert "wedge 47 mode 3" in validate_all.stderr
         assert "wedge 180 mode 5" in validate_all.stderr
+
+    def test_all_blocks_stdout_is_frozen(self, validate_all):
+        digest = hashlib.sha256(validate_all.stdout.encode("utf-8")).hexdigest()
+        assert digest.startswith("5ff2051534d54798")
 
     def test_all_blocks_signal_failure(self, validate_all):
         # blocks with tabulated values off the resonance condition miss the

@@ -85,6 +85,12 @@ class TestModeId:
         with pytest.raises(ValueError, match="must be an integer"):
             ModeId(polarisation="TE", m=1.0, **indices)
 
+    @pytest.mark.parametrize("m", [-0.5, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_azimuthal_index(self, m):
+        # classify called m = nan and m = inf "sectoral"
+        with pytest.raises(ValueError, match="azimuthal index m must be finite"):
+            ModeId(polarisation="TE", n=1, k=0, s=1, m=m)
+
     def test_accepts_numpy_integer_indices(self):
         mode = ModeId(polarisation="TE", n=np.int64(1), k=np.int64(2), s=np.int64(1), m=1.0)
         assert mode.nu == 3.0
@@ -97,6 +103,12 @@ class TestModeRecord:
     def test_rejects_non_positive_root(self):
         with pytest.raises(ValueError):
             ModeRecord(id=self._mode(), x=0.0, freq_hz=1e9)
+
+    @pytest.mark.parametrize("x, freq_hz", [(math.nan, 1e9), (math.inf, 1e9),
+                                            (1.0, math.nan), (1.0, math.inf)])
+    def test_rejects_non_finite_root_or_frequency(self, x, freq_hz):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ModeRecord(id=self._mode(), x=x, freq_hz=freq_hz)
 
 
 class TestAzimuthalIndex:
@@ -177,12 +189,12 @@ class TestRoots:
     def test_rejects_non_integral_radial_index(self):
         # refused before the memo is touched; integer calls are unaffected
         first = te_root(1.0, 1)
-        memo = {key: (list(t.roots), t.x, t.f) for key, t in modes._TOWERS.items()}
+        memo = {key: (list(t.roots), t.index, t.f) for key, t in modes._TOWERS.items()}
         for root in (te_root, tm_root):
             for s in (1.5, 2.0, math.nan, math.inf, "2"):
                 with pytest.raises(ValueError, match="root index s must be an integer"):
                     root(1.0, s)
-        assert {key: (list(t.roots), t.x, t.f) for key, t in modes._TOWERS.items()} == memo
+        assert {key: (list(t.roots), t.index, t.f) for key, t in modes._TOWERS.items()} == memo
         assert te_root(1.0, np.int64(1)) == first
 
     def test_first_roots_increase_with_degree(self):
@@ -200,7 +212,10 @@ class TestRoots:
         # restarting the scan from x = 0.05 for every radial index costs
         # 4091 evaluations here; one resumed scan of every grid point from
         # the turning point costs 953, and skipping the pi - 0.05 after
-        # each root where no root can lie leaves 384
+        # each root where no root can lie leaves 384 when stepping.  Halving
+        # each window costs more here (399): each next root of nu = 1 lies
+        # one or two points past the skip, where halving a 62-point window
+        # takes about 7 evaluations and stepping 1 or 2
         calls = 0
 
         def counted(nu, x):
@@ -214,7 +229,7 @@ class TestRoots:
         while te_root(1.0, s) < 30.0:
             s += 1
         assert s == 10
-        assert calls == 384
+        assert calls == 399
 
     def test_root_is_the_same_float_before_and_after_enumeration(self, monkeypatch):
         cfg = WedgeConfig.from_degrees(90.0, RADIUS)
@@ -237,7 +252,8 @@ class TestRoots:
     def test_scan_starts_at_the_turning_point(self, monkeypatch, pol, func):
         # from x = 0.05 the nu = 10 tower costs 464 evaluations up to x = 20;
         # starting below sqrt(110) ~ 10.49 (TM) or sqrt(110) + pi/2 (TE) and
-        # skipping pi - 0.05 after each root leaves 139 and 146
+        # skipping pi - 0.05 after each root leaves 139 and 146 when
+        # stepping, and halving each window of pi leaves 80 and 81
         calls = 0
         plain = getattr(modes, func)
 
@@ -250,7 +266,7 @@ class TestRoots:
         monkeypatch.setattr(modes, func, counted)
         roots = modes._tower_roots(pol, 10.0, math.inf, 20.0)
         assert len(roots) == 2
-        assert calls == {"TE": 146, "TM": 139}[pol]
+        assert calls == {"TE": 81, "TM": 80}[pol]
 
     @pytest.mark.parametrize("pol", ["TE", "TM"])
     def test_skipping_keeps_the_floats_of_a_plain_scan(self, monkeypatch, pol):
@@ -282,6 +298,28 @@ class TestRoots:
             want = plain_scan(nu)
             assert [x for x in got if x < 34.0] == [x for x in want if x < 34.0], nu
             assert set(got) <= set(want), nu
+
+    @pytest.mark.parametrize("pol", ["TE", "TM"])
+    def test_halving_finds_the_brackets_that_stepping_finds(self, monkeypatch, pol):
+        # a window (g, g + pi] from a scan point g below the next root holds
+        # at most one root, so halving it finds the grid pair that stepping
+        # every point finds.  With the halving bound at x = 0 every window is
+        # one step; the default lists, requested as one root, then up to a
+        # random cap, then to x = 40, must be the same floats
+        rng = np.random.default_rng(14 if pol == "TE" else 15)
+        orders = [0.0, *map(float, rng.uniform(0.0, 39.5, 15))]
+        caps = rng.uniform(0.5, 40.0, len(orders))
+        monkeypatch.setattr(modes, "_TOWERS", {})
+        halved = {}
+        for nu, cap in zip(orders, caps):
+            modes._tower_roots(pol, nu, 1, 40.0)
+            modes._tower_roots(pol, nu, math.inf, float(cap))
+            halved[nu] = list(modes._tower_roots(pol, nu, math.inf, 40.0))
+        monkeypatch.setattr(modes, "_TOWERS", {})
+        monkeypatch.setattr(modes, "_HALVING_MAX_X", 0.0)
+        stepped = {nu: list(modes._tower_roots(pol, nu, math.inf, 40.0)) for nu in orders}
+        assert halved == stepped
+        assert sum(map(len, halved.values())) > 2 * len(orders)
 
     @pytest.mark.xfail(
         strict=True,

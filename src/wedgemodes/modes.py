@@ -271,9 +271,6 @@ def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]
         return []
     func = spherical_j if pol == "TE" else riccati_derivative
     key = (pol, nu)
-    last = len(_GRID) - 1
-    cap_end = min(bisect_right(_GRID, x_cap), last)
-    halving_end = bisect_right(_GRID, _HALVING_MAX_X) - 1
     with _TOWERS_LOCK:
         tower = _TOWERS.pop(key, None)
         if tower is None:
@@ -283,9 +280,10 @@ def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]
                 del _TOWERS[next(iter(_TOWERS))]
         _TOWERS[key] = tower
         roots, i, f_i = tower.roots, tower.index, tower.f
-        while len(roots) < count and _GRID[i] <= x_cap and i < last:
-            hi = min(bisect_right(_GRID, _GRID[i] + math.pi) - 1, cap_end,
-                     max(i + 1, halving_end))
+        while len(roots) < count and _GRID[i] <= x_cap and i + 1 < len(_GRID):
+            hi = min(bisect_right(_GRID, _GRID[i] + math.pi) - 1,
+                     bisect_right(_GRID, x_cap),
+                     max(i + 1, bisect_right(_GRID, _HALVING_MAX_X) - 1))
             f_hi = func(nu, _GRID[hi])
             if f_hi != 0.0 and (f_i < 0.0) == (f_hi < 0.0):
                 i, f_i = hi, f_hi

@@ -73,7 +73,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, env=env, stdin=subprocess.DEVNULL,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True)
+    if proc.returncode:
+        print(f"failed in {tree}: {' '.join(cmd)}\n{proc.stderr[-2000:]}", file=sys.stderr)
+        proc.check_returncode()
     return json.loads(proc.stdout.splitlines()[-1])
 
 

@@ -130,6 +130,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ladder_check(args: argparse.Namespace) -> int:
+    if args.m + args.k == 0.0:
+        raise ValueError("ladder-check needs m + k > 0: the Casimir target (m+k)(m+k+1) is 0")
     # imported here so that the other commands start without numpy
     import numpy as np
 

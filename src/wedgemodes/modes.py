@@ -364,8 +364,10 @@ def enumerate_spectrum(
     of order ``nu = m + k`` has a root below the cap; the roots' strict
     monotonicity in ``nu`` ends the walk over ``n`` at the first ``m``
     without one.  The null-field TE ``nu = m = 0`` tower is skipped.
-    Frequency ties are broken by (TM before TE, then n, k, s); repeated
-    calls return identical lists.
+    Equal frequency floats are ordered by (TM before TE, then n, k, s);
+    modes equal mathematically whose towers' nu differ by rounding follow
+    the rounding noise of their roots.  Repeated calls return identical
+    lists.
     """
     if not math.isfinite(f_max_hz):
         raise ValueError("f_max_hz must be finite")

@@ -76,10 +76,13 @@ class ReferenceRow:
     def __post_init__(self) -> None:
         if self.polarisation not in ("TM", "TE"):
             raise ValueError("polarisation must be 'TM' or 'TE'")
+        if not (0.0 <= self.wedge_deg < 360.0 and 0.0 <= self.m < math.inf
+                and 0.0 <= self.nu < math.inf):
+            raise ValueError("wedge_deg must lie in [0, 360), m and nu be finite and >= 0")
         if abs(self.nu - (self.m + self.k)) > 1e-4:
             raise ValueError("nu must equal m + k to 4 decimal places")
-        if self.f_theory_ghz <= 0.0 or self.f_hfss_ghz <= 0.0:
-            raise ValueError("frequencies must be positive")
+        if not (0.0 < self.f_theory_ghz < math.inf and 0.0 < self.f_hfss_ghz < math.inf):
+            raise ValueError("frequencies must be finite and positive")
 
 
 @dataclass(frozen=True)

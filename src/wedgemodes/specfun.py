@@ -1,9 +1,10 @@
 """Real-order special functions built from power series.
 
-The cylinder Bessel function J of real order, the spherical Bessel
-function j_nu, the Riccati-Bessel derivative d/dx[x j_nu] and the
-associated-Legendre theta-solution regular at the north pole are summed
-in double precision; log-gamma is the standard library's ``math.lgamma``.
+The cylinder Bessel function J of real order and the associated-Legendre
+theta-solution regular at the north pole are plain double-precision sums
+of their power series; the spherical Bessel function j_nu and the
+Riccati-Bessel derivative d/dx[x j_nu] are one or two J values each, and
+log-gamma is the standard library's ``math.lgamma``.
 
 Both power series stop once a term falls below 1e-15 of the partial sum
 (``bessel_j`` also once both have underflowed to zero) and raise
@@ -90,13 +91,13 @@ def _rgamma(z: float) -> float:
 
 
 def bessel_j(order: float, x: float) -> float:
-    """J_order(x) by the ascending power series with compensated summation.
+    """J_order(x) by the ascending power series, summed term by term.
 
     J_a(x) = sum_k (-1)^k (x/2)^(2k+a) / (k! Gamma(k+a+1)), valid for any
     real order > -1; callers use order >= 0.  Terms are generated by the
-    two-step recurrence t_{k} = -t_{k-1} * (x/2)^2 / (k (k+a)) and summed
-    with Kahan compensation until |term| <= 1e-15 * |sum|, which also stops
-    a sum that has underflowed to zero (|J| below about 5e-324).
+    two-step recurrence t_{k} = -t_{k-1} * (x/2)^2 / (k (k+a)) and added
+    in order until |term| <= 1e-15 * |sum|, which also stops a sum that
+    has underflowed to zero (|J| below about 5e-324).
     """
     if not 0.0 < x <= BESSEL_X_MAX:
         raise ValueError(f"bessel_j domain is 0 < x <= {BESSEL_X_MAX}, got x={x}")
@@ -106,13 +107,9 @@ def bessel_j(order: float, x: float) -> float:
     q = half_x * half_x
     term = math.exp(order * math.log(half_x) - ln_gamma(order + 1.0))
     total = term
-    comp = 0.0
     for k in range(1, _SERIES_MAX_TERMS + 1):
         term = -term * q / (k * (k + order))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+        total += term
         if abs(term) <= _SERIES_REL_TOL * abs(total):
             return total
     raise ConvergenceError(
@@ -130,14 +127,12 @@ def spherical_j(nu: float, x: float) -> float:
 def riccati_derivative(nu: float, x: float) -> float:
     """d/dx [x j_nu(x)], whose zeros give the TM resonance condition.
 
-    For nu >= 1 the downward recurrence d/dx[x j_nu] = x j_{nu-1} - nu j_nu
-    keeps every order non-negative.  For nu < 1 the same quantity is
-    rewritten through the cylinder functions,
+    For every nu >= 0 it is j_nu + x j_nu' with j_nu' = (nu/x) j_nu - j_{nu+1}
+    (DLMF 10.51.2), written through the cylinder functions,
 
         d/dx[x j_nu] = sqrt(pi/(2x)) ((nu+1) J_{nu+1/2}(x) - x J_{nu+3/2}(x)),
 
-    which is j_nu + x j_nu' with j_nu' = j_{nu-1} - ((nu+1)/x) j_nu reduced
-    so that only orders >= 1/2 are evaluated.
+    so only orders >= 1/2 are evaluated.
     """
     if not nu >= 0.0:
         raise ValueError(f"riccati_derivative requires nu >= 0, got {nu}")
@@ -145,8 +140,6 @@ def riccati_derivative(nu: float, x: float) -> float:
         raise ValueError(
             f"riccati_derivative domain is 0 < x <= {BESSEL_X_MAX}, got x={x}"
         )
-    if nu >= 1.0:
-        return x * spherical_j(nu - 1.0, x) - nu * spherical_j(nu, x)
     pref = math.sqrt(math.pi / (2.0 * x))
     return pref * ((nu + 1.0) * bessel_j(nu + 0.5, x) - x * bessel_j(nu + 1.5, x))
 
@@ -185,10 +178,8 @@ def legendre_theta(nu: float, m: float, theta: float) -> float:
     c = m + 1.0
     term = 1.0
     total = 1.0
-    comp = 0.0
     # a float index makes each sum below float + float, which the
-    # interpreter adds faster than int + float; that pays for the
-    # cancellation check, and the values are the same
+    # interpreter adds faster than int + float; the values are the same
     for j in map(float, range(_SERIES_MAX_TERMS)):
         term *= (j + a) * (j + b) * u / ((j + c) * (j + 1.0))
         size = abs(term)
@@ -197,10 +188,7 @@ def legendre_theta(nu: float, m: float, theta: float) -> float:
                 f"legendre_theta(nu={nu}, m={m}) series cancels at theta={theta}: "
                 f"a term reached {size:.3g} > {_LEGENDRE_TERM_MAX:g}"
             )
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+        total += term
         if size < _SERIES_REL_TOL * abs(total):
             return math.sin(theta) ** m * total
     # next to a zero the relative stop cannot be met; the sum is kept if its

@@ -122,6 +122,18 @@ class TestRowValidation:
         with pytest.raises(ValueError):
             ReferenceRow(90.0, 1, "TM", 0.666667, 0, 0.666667, 0.0, 7.5)
 
+    @pytest.mark.parametrize("row", [
+        (27.0, 1, "TE", math.nan, 0, math.nan, math.inf, math.nan),
+        (math.nan, 1, "TE", 1.0, 0, 1.0, 5.0, 5.0),
+        (90.0, 1, "TM", math.inf, 0, math.inf, 7.5, 7.5),
+        (90.0, 1, "TM", 0.666667, 0, 0.666667, 7.5, math.inf),
+    ], ids=["nan-degree-inf-frequency", "nan-wedge", "inf-degree", "inf-frequency"])
+    def test_reference_rejects_non_finite_values(self, row):
+        # NaN fails every comparison, so each bound is one chained
+        # comparison that NaN and inf cannot pass
+        with pytest.raises(ValueError):
+            ReferenceRow(*row)
+
     def test_comparison_matched_requires_values(self):
         # a computed frequency makes the row matched
         ref = block_reference(90.0)[0]

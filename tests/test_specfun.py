@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -161,6 +162,23 @@ class TestRiccatiDerivative:
                 fd = (g(x - 2 * h) - 8 * g(x - h) + 8 * g(x + h) - g(x + 2 * h)) / (12 * h)
                 assert riccati_derivative(nu, x) == pytest.approx(fd, rel=1e-8)
 
+    def test_sweep_against_high_precision_reference(self):
+        # 300 seeded points with nu in [0, 3], across nu = 1, and x in
+        # (0, 12], against (nu+1) J_{nu+1/2} - x J_{nu+3/2} in mpmath,
+        # relative to max(|ref|, 1/sqrt(x)); measured worst 4.7e-12 with
+        # a downward recurrence for nu >= 1, 2.0e-12 with one formula
+        rng = random.Random(14)
+        worst = 0.0
+        for _ in range(300):
+            nu, x = rng.uniform(0.0, 3.0), 12.0 * (1.0 - rng.random())
+            n, t = mp.mpf(nu), mp.mpf(x)
+            ref = mp.sqrt(mp.pi / (2 * t)) * (
+                (n + 1) * mp.besselj(n + 0.5, t) - t * mp.besselj(n + 1.5, t)
+            )
+            err = abs(riccati_derivative(nu, x) - ref) / max(abs(ref), 1 / mp.sqrt(t))
+            worst = max(worst, float(err))
+        assert worst < 2e-11
+
 
 class TestLegendreTheta:
     def test_sectoral_value_at_equator(self):
@@ -234,6 +252,23 @@ class TestLegendreTheta:
         u = mp.sin(mp.mpf(theta) / 2) ** 2
         ref = mp.sin(mp.mpf(theta)) ** m * mp.hyp2f1(m - nu, m + nu + 1, m + 1, u)
         assert legendre_theta(nu, m, theta) == pytest.approx(float(ref), rel=1e-13)
+
+    def test_north_domain_sweep_against_high_precision_reference(self):
+        # 300 seeded points of the domain certify draws from: m in
+        # [0.3, 2.5], nu - m in [0.05, 2.95], theta in (0.05, 2.2], against
+        # mpmath's 2F1, relative to max(1, |ref|); none is refused; measured
+        # worst 1.7e-15 with compensated summation, 2.0e-15 without
+        rng = random.Random(15)
+        worst = 0.0
+        for _ in range(300):
+            m = rng.uniform(0.3, 2.5)
+            nu = m + rng.uniform(0.05, 2.95)
+            theta = 0.05 + 2.15 * (1.0 - rng.random())
+            u = mp.sin(mp.mpf(theta) / 2) ** 2
+            ref = mp.sin(mp.mpf(theta)) ** m * mp.hyp2f1(m - nu, m + nu + 1, m + 1, u)
+            err = abs(legendre_theta(nu, m, theta) - ref) / max(1, abs(ref))
+            worst = max(worst, float(err))
+        assert worst < 1e-14
 
     def test_value_next_to_a_zero_of_the_profile(self):
         # the sum is close to 0, so its relative stop cannot be met, but the

@@ -39,6 +39,11 @@ BESSEL_X_MAX = 40.0
 
 _SERIES_MAX_TERMS = 200
 _SERIES_REL_TOL = 1e-15
+# the term indices of the two series loops as floats, built once: each sum
+# in a term is then float + float, which the interpreter adds faster than
+# int + float; an integer up to 200 is exact, so the values are the same
+_BESSEL_INDICES = tuple(float(k) for k in range(1, _SERIES_MAX_TERMS + 1))
+_LEGENDRE_INDICES = tuple(float(j) for j in range(_SERIES_MAX_TERMS))
 # the legendre_theta series sums terms of both signs, so its absolute error
 # is about eps times its largest term; past this bound that error exceeds
 # ~1e-11 and the value is refused
@@ -107,7 +112,7 @@ def bessel_j(order: float, x: float) -> float:
     q = half_x * half_x
     term = math.exp(order * math.log(half_x) - ln_gamma(order + 1.0))
     total = term
-    for k in range(1, _SERIES_MAX_TERMS + 1):
+    for k in _BESSEL_INDICES:
         term = -term * q / (k * (k + order))
         total += term
         if abs(term) <= _SERIES_REL_TOL * abs(total):
@@ -178,9 +183,7 @@ def legendre_theta(nu: float, m: float, theta: float) -> float:
     c = m + 1.0
     term = 1.0
     total = 1.0
-    # a float index makes each sum below float + float, which the
-    # interpreter adds faster than int + float; the values are the same
-    for j in map(float, range(_SERIES_MAX_TERMS)):
+    for j in _LEGENDRE_INDICES:
         term *= (j + a) * (j + b) * u / ((j + c) * (j + 1.0))
         size = abs(term)
         if size > _LEGENDRE_TERM_MAX:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -106,6 +107,7 @@ class TestBesselJ:
 
     def test_non_convergence_is_reported(self, monkeypatch):
         monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 5)
+        monkeypatch.setattr(specfun, "_BESSEL_INDICES", specfun._BESSEL_INDICES[:5])
         with pytest.raises(ConvergenceError, match="within 5 terms"):
             bessel_j(0.0, 20.0)
 
@@ -283,3 +285,29 @@ class TestLegendreTheta:
         # settle within the term budget and must say so
         with pytest.raises(ConvergenceError):
             legendre_theta(7.0 / 6.0, 2.0 / 3.0, 3.05)
+
+
+def test_series_values_are_frozen():
+    # the bits of both power series at seeded points: bessel_j at order in
+    # [0, 40] and x in (0, 40], legendre_theta at m in [0, 12] with nu - m
+    # an integer up to 12 for half the points and fractional for the rest,
+    # theta in (0.01, pi - 0.01); a refusal hashes as its exception name.
+    # A change to how the series loops run must leave every value the same
+    # float
+    rng = random.Random(2615)
+    digest = hashlib.sha256()
+
+    def put(func, *args):
+        try:
+            value = func(*args).hex()
+        except (ValueError, ConvergenceError) as exc:
+            value = type(exc).__name__
+        digest.update(f"{value}\n".encode())
+
+    for _ in range(1500):
+        put(bessel_j, 40.0 * rng.random(), 40.0 * (1.0 - rng.random()))
+    for i in range(1500):
+        m = 12.0 * rng.random()
+        nu = m + (rng.randint(0, 12) if i % 2 else 12.0 * rng.random())
+        put(legendre_theta, nu, m, rng.uniform(0.01, math.pi - 0.01))
+    assert digest.hexdigest().startswith("7a50024db1b66b4c")

@@ -71,6 +71,9 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 _SCAN_STEP = 0.05
 _BISECT_REL_WIDTH = 1e-12
+#: Weights ``m_n`` whose difference lies this close to an integer give the
+#: same degrees; ``n pi / Phi`` rounds differently for each ``n``.
+_SAME_DEGREE_TOL = 1e-9
 #: Above this x the characteristic values are too inaccurate for a window
 #: of pi to hold at most one sign change, so the scan steps every point.
 _HALVING_MAX_X = 34.0
@@ -364,10 +367,13 @@ def enumerate_spectrum(
     of order ``nu = m + k`` has a root below the cap; the roots' strict
     monotonicity in ``nu`` ends the walk over ``n`` at the first ``m``
     without one.  The null-field TE ``nu = m = 0`` tower is skipped.
-    Equal frequency floats are ordered by (TM before TE, then n, k, s);
-    modes equal mathematically whose towers' nu differ by rounding follow
-    the rounding noise of their roots.  Repeated calls return identical
-    lists.
+    Degrees equal mathematically share one tower: a harmonic whose weight
+    ``m_n`` lies an integer ``J`` above an earlier weight ``m_n'`` of the
+    same polarisation (to 1e-9; for TE that includes ``m_0 = 0``) requests
+    the towers ``m_n' + (k + J)``, the earliest such ``m_n'``, while its
+    records keep their own ``(n, k, m_n)``.  Equal modes therefore get the
+    same root float, and equal frequency floats are ordered by (TM before
+    TE, then n, k, s).  Repeated calls return identical lists.
     """
     if not math.isfinite(f_max_hz):
         raise ValueError("f_max_hz must be finite")
@@ -385,11 +391,22 @@ def enumerate_spectrum(
     records: list[ModeRecord] = []
     for pol in set(polarisations):
         n = 1 if pol == "TM" else 0
+        weights: list[float] = []
         while True:
             m = azimuthal_index(n, config)
+            # a weight an integer J above an earlier one (to rounding)
+            # requests that weight's towers, so each degree is scanned once
+            base, shift = m, 0
+            for w in weights:
+                j = round(m - w)
+                if abs(m - w - j) <= _SAME_DEGREE_TOL:
+                    base, shift = w, j
+                    break
+            weights.append(m)
             k = 0
             while xs := [
-                x for x in _tower_roots(pol, m + k, math.inf, x_cap) if x <= x_cap
+                x for x in _tower_roots(pol, base + (k + shift), math.inf, x_cap)
+                if x <= x_cap
             ]:
                 if not (pol == "TE" and null_field_check(m + k, m)):
                     for s, x in enumerate(xs, 1):

@@ -84,11 +84,11 @@ class TestSpectrum:
         (("--radius-mm", "15", "--wedge-deg", "27", "--fmax-ghz", "14",
           "--format", "json"), "7fe9e67922064bd8"),
         # 530 modes of a 300 degree wedge of radius 30 mm, up to x ~ 28,
-        # where the root scan halves its windows; rows with equal printed x
-        # and frequency follow the rounding noise of their roots, so this
-        # digest moves whenever the root floats do
+        # where the root scan halves its windows; its weights m_n = 3n are
+        # rounded floats, and equal degrees share one tower, so rows with
+        # equal printed x and frequency follow the (TM, n, k, s) rule
         (("--radius-mm", "30", "--wedge-deg", "300", "--fmax-ghz", "45"),
-         "cc68138b8c9790ae"),
+         "a4f755625be690c2"),
     ])
     def test_spectrum_stdout_is_frozen(self, args, prefix):
         proc = run_cli("spectrum", *args)

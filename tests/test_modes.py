@@ -410,7 +410,11 @@ class TestRoots:
         # kept its count, and the worst error against mpmath went
         # 1.71e-10 -> 7.5e-11 below x = 20, 1.08e-6 -> 1.06e-6 at 20-30,
         # 8.2e-6 -> 4.7e-5 at 30-34 (one TM root of the window-edge order;
-        # rounding noise, see CHANGES.md) and 1.421e-3 -> 1.424e-3 at 34-40
+        # rounding noise, see CHANGES.md) and 1.421e-3 -> 1.424e-3 at 34-40.
+        # It moved again when degrees equal but for rounding came to share
+        # one tower: 273 of the 620 records took the float of the same mode
+        # in the degree's smallest-n tower (351 -> 189 distinct floats), the
+        # x = 40 lists kept theirs, and no band's worst error moved
         monkeypatch.setattr(modes, "_TOWERS", {})
         digest = hashlib.sha256()
         radius = 0.03
@@ -424,7 +428,7 @@ class TestRoots:
                         ("TM", 33.3), ("TE", 39.4), ("TE", 120.0)):
             for x in modes._tower_roots(pol, nu, math.inf, 40.0):
                 digest.update(f"{pol} {nu.hex()} {x.hex()}\n".encode())
-        assert digest.hexdigest().startswith("8ccad491144fa7ed")
+        assert digest.hexdigest().startswith("eb61e12aed16eb5c")
 
     @pytest.mark.parametrize("nu", [1.5, 2.5, 3.5])
     def test_concurrent_requests_resume_one_scan(self, monkeypatch, nu):
@@ -620,3 +624,35 @@ class TestTeFieldShape:
     def test_rejects_polar_angles(self, theta):
         with pytest.raises(ValueError):
             te_field_shape(1.0, 1.0, 2.0, theta)
+
+
+def test_equal_degrees_share_one_tower(monkeypatch):
+    # m_n = n pi / Phi rounds differently for each n: on a 300 degree wedge
+    # m_1 = 3.000000000000001 and m_2 = 6.000000000000002, so its degrees
+    # 3n + k came in several floats each, were scanned as 111 towers and
+    # got roots that differ by rounding noise.  Scanned once per degree,
+    # they are 50 towers, equal modes share their root float, and rows
+    # that agree to print precision follow the (TM, n, k, s) rule
+    monkeypatch.setattr(modes, "_TOWERS", {})
+    records = enumerate_spectrum(WedgeConfig.from_degrees(300.0, 0.03), 45e9)
+    assert len(records) == 530
+    assert len(modes._TOWERS) == 50
+    groups: dict[tuple[str, int], list[tuple[float, float]]] = {}
+    for r in records:
+        groups.setdefault((r.id.polarisation, r.id.s), []).append((r.id.nu, r.x))
+    shared = 0
+    for key, same in groups.items():
+        same.sort()
+        for (nu_a, x_a), (nu_b, x_b) in zip(same, same[1:]):
+            if nu_b - nu_a <= 1e-9:
+                assert x_a == x_b, (key, nu_a, nu_b)
+                shared += 1
+    assert shared == 362
+
+    def order(r):
+        return (r.id.polarisation != "TM", r.id.n, r.id.k, r.id.s)
+
+    ties = [(a, b) for a, b in zip(records, records[1:])
+            if math.isclose(a.x, b.x, rel_tol=1e-6)]
+    assert len(ties) == 362
+    assert all(order(a) < order(b) for a, b in ties)

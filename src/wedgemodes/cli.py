@@ -204,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, ConvergenceError, modes.RootNotFoundError) as exc:
+    except (ValueError, ConvergenceError, modes.RootNotFoundError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except report.ReferenceIntegrityError as exc:

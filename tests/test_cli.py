@@ -254,6 +254,29 @@ class TestLadderCheck:
         assert proc.stdout == ""
 
 
+class TestOutOfMemory:
+    # a grid too large to allocate makes numpy raise MemoryError, which is
+    # refused like any other unusable input; the callee is replaced here so
+    # that no such grid is ever requested
+    @pytest.mark.parametrize("argv, callee", [
+        (["oracle", "--m", "0.5", "--grid", "10000000000"],
+         "wedgemodes.cli.legendre_spectrum_fd"),
+        (["ladder-check", "--m", "0.5", "--k", "1", "--grid", "10000000000"],
+         "wedgemodes.angular.uniform_grid"),
+    ], ids=["oracle", "ladder-check"])
+    def test_unallocatable_grid_exits_2(self, monkeypatch, capsys, argv, callee):
+        from wedgemodes import cli
+
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(callee, refuse)
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: Unable to allocate 74.5 GiB for an array\n"
+
+
 class TestOracle:
     def test_fundamental_weight_degrees(self):
         proc = run_cli("oracle", "--m", "0.666667")

@@ -17,10 +17,10 @@ Both trees start every run in the same bytecode state: the tree's
 untimed warm-up interpreter compiles the tree as in a fresh checkout.
 
 The output holds, per workload and end-to-end metric, each side's values,
-median and quartiles and the pairs each side won (ties count for neither),
-and the failed and attempted operations of every run.  ``--trace-seed``
-adds one traced run per side and workload with its per-layer metrics.
-Progress goes to stderr.
+median and quartiles, the pairs each side won (ties count for neither) and
+a verdict (see :func:`verdict`), and the failed and attempted operations of
+every run.  ``--trace-seed`` adds one traced run per side and workload with
+its per-layer metrics.  Progress and a table of the verdicts go to stderr.
 """
 from __future__ import annotations
 
@@ -85,8 +85,33 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def verdict(base: list[float], head: list[float], better: str, bound: float) -> str:
+    """``gain``, ``regression``, ``unresolved`` or ``unchanged`` for one metric.
+
+    ``base[i]`` and ``head[i]`` are pair ``i``; ``bound`` is the metric's
+    relative bound from BENCHMARK.json.  A gain needs the head to win at
+    least nine tenths of the pairs (ties count for neither) and the medians
+    to differ by more than the base's interquartile range; a regression is
+    a head median worse than the base's by more than the bound; a base
+    spread (interquartile range over median) wider than the bound leaves
+    the metric unresolved, unless every head run beats every base run.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    b, h = summary(base), summary(head)
+    spread = b["q3"] - b["q1"]
+    wins = sum(sign * (x - y) > 0.0 for x, y in zip(base, head))
+    if 10 * wins >= 9 * len(base) and sign * (b["median"] - h["median"]) > spread:
+        return "gain"
+    if sign * (h["median"] - b["median"]) > bound * abs(b["median"]):
+        return "regression"
+    if spread > bound * abs(b["median"]) and not (
+            max(sign * y for y in head) < min(sign * x for x in base)):
+        return "unresolved"
+    return "unchanged"
+
+
 def compare(base: list[dict], head: list[dict], end_to_end: list[dict]) -> dict:
-    """Per-metric medians, quartiles and pair wins of the two sides' runs."""
+    """Per-metric medians, quartiles, pair wins and verdicts of the two sides' runs."""
     metrics = {}
     for spec in end_to_end:
         name = spec["name"]
@@ -98,6 +123,7 @@ def compare(base: list[dict], head: list[dict], end_to_end: list[dict]) -> dict:
             "base": summary(b), "head": summary(h),
             "head_wins": sum(sign * (x - y) > 0.0 for x, y in zip(b, h)),
             "base_wins": sum(sign * (y - x) > 0.0 for x, y in zip(b, h)),
+            "verdict": verdict(b, h, spec["better"], spec["bound"]),
         }
     runs = {side: [{k: r[k] for k in ("correct", "attempted", "failed")} for r in rs]
             for side, rs in (("base", base), ("head", head))}
@@ -138,6 +164,13 @@ def main(argv=None) -> int:
                     for side, tree in (("base", base), ("head", head))}
             result["workloads"][workload] = entry
     args.out.write_text(json.dumps(result, indent=1) + "\n")
+    print(f"{'workload':<14} {'metric':<14} {'base':>10} {'head':>10} {'change':>8} "
+          f"{'wins':>5}  verdict", file=sys.stderr)
+    for workload, entry in result["workloads"].items():
+        for name, m in entry["metrics"].items():
+            b, h = m["base"]["median"], m["head"]["median"]
+            print(f"{workload:<14} {name:<14} {b:>10.4g} {h:>10.4g} {(h - b) / b:>+8.1%} "
+                  f"{m['head_wins']:>2}/{PAIRS:<2}  {m['verdict']}", file=sys.stderr)
     return 0
 
 

@@ -1,0 +1,79 @@
+"""Unit tests for the verdict rule of ``scripts/bench_pairs.py``."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+verdict = bench_pairs.verdict
+
+# ten base runs with quartiles 99.125 and 100.875 around a median of 100:
+# an interquartile range of 1.75 %, inside every bound
+BASE = [98.0, 99.0, 101.0, 100.0, 102.0, 99.5, 100.5, 98.5, 101.5, 100.0]
+
+
+def scaled(values, factor):
+    return [v * factor for v in values]
+
+
+@pytest.mark.parametrize("better, factor", [("lower", 0.8), ("higher", 1.2)])
+def test_gain_when_the_head_wins_every_pair_by_more_than_the_spread(better, factor):
+    assert verdict(BASE, scaled(BASE, factor), better, 0.25) == "gain"
+
+
+def test_nine_wins_of_ten_are_enough():
+    head = scaled(BASE, 0.8)
+    head[3] = BASE[3] + 1.0
+    assert verdict(BASE, head, "lower", 0.25) == "gain"
+
+
+def test_eight_wins_of_ten_are_not():
+    head = scaled(BASE, 0.8)
+    head[3] = BASE[3] + 1.0
+    head[7] = BASE[7]  # a tie counts for neither side
+    assert verdict(BASE, head, "lower", 0.25) == "unchanged"
+
+
+def test_no_gain_when_the_medians_are_within_the_spread():
+    # the head wins every pair, but only by 1 % against a 1.75 % spread
+    assert verdict(BASE, scaled(BASE, 0.99), "lower", 0.25) == "unchanged"
+
+
+@pytest.mark.parametrize("better, factor", [("lower", 1.3), ("higher", 0.7)])
+def test_regression_past_the_bound(better, factor):
+    assert verdict(BASE, scaled(BASE, factor), better, 0.25) == "regression"
+
+
+@pytest.mark.parametrize("better, factor", [("lower", 1.05), ("higher", 0.95)])
+def test_worse_within_the_bound_is_unchanged(better, factor):
+    assert verdict(BASE, scaled(BASE, factor), better, 0.1) == "unchanged"
+
+
+def test_regression_is_judged_against_the_metrics_own_bound():
+    assert verdict(BASE, scaled(BASE, 1.15), "lower", 0.25) == "unchanged"
+    assert verdict(BASE, scaled(BASE, 1.15), "lower", 0.1) == "regression"
+
+
+def test_unresolved_when_the_base_spreads_wider_than_the_bound():
+    # quartiles 80 and 120 around a median of 100: a spread of 0.4
+    base = [60.0, 70.0, 80.0, 80.0, 100.0, 100.0, 120.0, 120.0, 130.0, 140.0]
+    assert verdict(base, list(reversed(base)), "lower", 0.25) == "unresolved"
+    assert verdict(base, list(reversed(base)), "lower", 0.5) == "unchanged"
+
+
+def test_wide_spread_is_resolved_when_every_head_run_beats_every_base_run():
+    # a skewed base: its quartiles lie 107 apart, so medians 22.5 apart
+    # are no gain, but no head run reaches the best base run
+    base = [61.0, 62.0, 63.0, 64.0, 65.0, 100.0, 140.0, 180.0, 200.0, 300.0]
+    head = [60.0] * 10
+    assert verdict(base, head, "lower", 0.25) == "unchanged"
+    flipped = [400.0 - v for v in base]
+    assert verdict(flipped, [400.0 - v for v in head], "higher", 0.25) == "unchanged"
+    head[0] = 61.5
+    assert verdict(base, head, "lower", 0.25) == "unresolved"

@@ -368,12 +368,12 @@ def enumerate_spectrum(
     monotonicity in ``nu`` ends the walk over ``n`` at the first ``m``
     without one.  The null-field TE ``nu = m = 0`` tower is skipped.
     Degrees equal mathematically share one tower: a harmonic whose weight
-    ``m_n`` lies an integer ``J`` above an earlier weight ``m_n'`` of the
-    same polarisation (to 1e-9; for TE that includes ``m_0 = 0``) requests
-    the towers ``m_n' + (k + J)``, the earliest such ``m_n'``, while its
-    records keep their own ``(n, k, m_n)``.  Equal modes therefore get the
-    same root float, and equal frequency floats are ordered by (TM before
-    TE, then n, k, s).  Repeated calls return identical lists.
+    ``m_n`` lies an integer ``J`` above an earlier weight of the same
+    polarisation (to 1e-9; for TE that includes ``m_0 = 0``) requests the
+    towers ``m_n' + (k + J)`` of the earliest such weight ``m_n'``, while
+    its records keep their own ``(n, k, m_n)``.  Equal modes therefore get
+    the same root float, and equal frequency floats are ordered by (TM
+    before TE, then n, k, s).  Repeated calls return identical lists.
     """
     if not math.isfinite(f_max_hz):
         raise ValueError("f_max_hz must be finite")

@@ -12,7 +12,8 @@ ConvergenceError if that takes more than 200 terms, unless for
 ``legendre_theta`` the tail left is below 1e-15 of its first term, 1 (next
 to a zero).  ``legendre_theta`` also raises it once a term passes 1e5,
 where its alternating sum would cancel away more digits than a profile
-value can spare.
+value can spare.  Both loops iterate float term indices built once from
+the 200-term cap.
 
 Public surface:
     ConvergenceError   -- raised when a series fails to settle

@@ -19,8 +19,7 @@ untimed warm-up interpreter compiles the tree as in a fresh checkout.
 The output holds, per workload and end-to-end metric, each side's values,
 median and quartiles, the pairs each side won (ties count for neither) and
 a verdict (see :func:`verdict`), and the failed and attempted operations of
-every run.  ``--trace-seed`` adds one traced run per side and workload with
-its per-layer metrics.  Progress and a table of the verdicts go to stderr.
+every run.  Progress and a table of the verdicts go to stderr.
 """
 from __future__ import annotations
 
@@ -63,7 +62,7 @@ def source_tree(ref: str):
         shutil.rmtree(tree, ignore_errors=True)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run in ``tree`` from a cold bytecode state."""
     for top in ("src", "perfbench"):
         for cache in (tree / top).rglob("__pycache__"):
@@ -71,7 +70,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     env = dict(os.environ)
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{seconds:g}", "--trace", str(trace)]
+           "--seconds", f"{seconds:g}", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, env=env, stdin=subprocess.DEVNULL,
                           capture_output=True, text=True)
     if proc.returncode:
@@ -137,7 +136,6 @@ def main(argv=None) -> int:
     p.add_argument("--workload", action="append", required=True,
                    help="workload name; repeat for several")
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    p.add_argument("--trace-seed", type=int, help="also make one traced run per side")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
 
@@ -155,13 +153,9 @@ def main(argv=None) -> int:
                 order = (("base", base), ("head", head))
                 for side, tree in order if i % 2 == 0 else order[::-1]:
                     print(f"{workload} pair {i + 1}/{PAIRS} {side}", file=sys.stderr)
-                    runs[side].append(run_once(tree, workload, args.seed + i, seconds, 0))
+                    runs[side].append(run_once(tree, workload, args.seed + i, seconds))
             entry = compare(runs["base"], runs["head"], spec["end_to_end"])
             entry["seeds"] = [args.seed, args.seed + PAIRS - 1]
-            if args.trace_seed is not None:
-                entry["traced"] = {
-                    side: run_once(tree, workload, args.trace_seed, seconds, 1)["metrics"]
-                    for side, tree in (("base", base), ("head", head))}
             result["workloads"][workload] = entry
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"{'workload':<14} {'metric':<14} {'base':>10} {'head':>10} {'change':>8} "

@@ -7,8 +7,9 @@ special functions, verifies the underlying ladder-algebra structure
 numerically, and compares against embedded reference tables.
 
 Modules:
-    specfun  -- log-gamma, Bessel J / spherical j, Riccati derivative,
-                regular Legendre theta-solution (all power series)
+    specfun  -- Bessel J / spherical j, Riccati derivative and regular
+                Legendre theta-solution (power series), log-gamma
+                (math.lgamma)
     angular  -- ladder operators on theta-grid functions, Casimir checks,
                 south-pole singularity analysis
     modes    -- azimuthal quantisation, root finding, spectrum enumeration

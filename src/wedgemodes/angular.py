@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _rgamma, ln_gamma
+from .specfun import _check_index, ln_gamma
 
 __all__ = [
     "AngularFunction",
@@ -218,8 +218,7 @@ def build_tesseral(m: float, k: int, grid: np.ndarray) -> AngularFunction:
     times, landing on the weight-``m`` profile with Casimir eigenvalue
     ``(m + k)(m + k + 1)``.  ``k = 0`` returns ``sectoral(m)`` itself.
     """
-    if k < 0 or k != int(k):
-        raise ValueError("k must be a non-negative integer")
+    _check_index("lowering count k", k, 0)
     f = sectoral(m + int(k), np.asarray(grid, dtype=float))
     for _ in range(int(k)):
         f = apply_lowering(f)
@@ -270,6 +269,11 @@ def collinearity(f: AngularFunction, g: AngularFunction) -> float:
     if ff == 0.0 or gg == 0.0:
         raise ValueError("cannot compare against the zero function")
     return float(abs(cross) / math.sqrt(ff * gg))
+
+
+def _rgamma(z: float) -> float:
+    """``1/Gamma(z)`` for ``-1 < z < 2``, exactly 0 at ``z = 0`` (and ``-0.0``)."""
+    return 0.0 if z == 0.0 else 1.0 / math.gamma(z)
 
 
 #: From ``1 + nu`` = 1e3 on, ``south_pole_coefficient`` differences the
@@ -336,10 +340,10 @@ def south_pole_coefficient(nu: float, m: float) -> SingularityFit:
     n = math.floor(nu)
     r = nu - n
     sign = -1.0 if n % 2 else 1.0
-    gamma_m1 = math.exp(ln_gamma(m + 1.0))
+    gamma_m1 = math.gamma(m + 1.0)
     # 1/(Gamma(nu+1) Gamma(-nu)) = (-1)**n / (Gamma(1+r) Gamma(-r))
-    a_reg = sign * gamma_m1 / _rgamma(-m) * _rgamma(1.0 + r) * _rgamma(-r)
+    a_reg = sign * gamma_m1 * math.gamma(-m) * _rgamma(1.0 + r) * _rgamma(-r)
     # 1/Gamma(m-nu) = (-1)**n Gamma(1+nu-m) / (Gamma(m-r) Gamma(1-m+r))
-    b = sign * gamma_m1 * math.exp(ln_gamma(m)) * _rgamma(m - r) * _rgamma(1.0 - m + r)
+    b = sign * gamma_m1 * math.gamma(m) * _rgamma(m - r) * _rgamma(1.0 - m + r)
     b *= math.exp(_ln_gamma_ratio(1.0 + nu, m))
     return SingularityFit(a_reg=a_reg, b_sing=4.0**m * b)

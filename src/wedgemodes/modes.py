@@ -41,12 +41,11 @@ used; a dropped tower is rescanned from the same start, to the same floats.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .specfun import BESSEL_X_MAX, riccati_derivative, spherical_j
+from .specfun import BESSEL_X_MAX, _check_index, riccati_derivative, spherical_j
 from .specfun import legendre_theta
 
 __all__ = [
@@ -87,16 +86,6 @@ while _GRID[-1] + _SCAN_STEP <= BESSEL_X_MAX:
 
 class RootNotFoundError(LookupError):
     """No qualifying root below the evaluation cap ``x = BESSEL_X_MAX``."""
-
-
-def _check_index(name: str, value: object, least: int) -> None:
-    """Refuse ``value`` unless it is an integer (not ``2.0``) >= ``least``."""
-    try:
-        if operator.index(value) >= least:
-            return
-    except TypeError:
-        pass
-    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -445,10 +434,8 @@ def te_field_shape(nu: float, m: float, x_arg: float, theta: float) -> tuple[flo
     vanishes identically through its prefactor, and for ``nu = m = 0`` the
     profile is constant, so both components are zero.
     """
-    if not 0.0 < theta < math.pi:
-        raise ValueError("theta must lie strictly inside (0, pi)")
     radial = spherical_j(nu, x_arg)
-    profile = legendre_theta(nu, m, theta)
+    profile = legendre_theta(nu, m, theta)  # refuses theta outside (0, pi) before 1/sin
     if m == 0.0:
         e_theta = 0.0
     else:

@@ -26,6 +26,7 @@ Public surface:
 from __future__ import annotations
 
 import math
+import operator
 
 __all__ = [
     "ConvergenceError",
@@ -55,6 +56,17 @@ class ConvergenceError(ArithmeticError):
     """A power series did not reach its tolerance within its term limit."""
 
 
+def _check_index(name: str, value: object, least: int) -> None:
+    """Refuse ``value`` unless it is an integer (not ``2.0``) >= ``least``:
+    the one index rule of ``modes`` and ``angular``."""
+    try:
+        if operator.index(value) >= least:
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # log-gamma
 # ---------------------------------------------------------------------------
@@ -73,22 +85,6 @@ def ln_gamma(z: float) -> float:
         return math.lgamma(z)
     except OverflowError:
         raise ValueError(f"ln_gamma({z}) overflows a float") from None
-
-
-def _rgamma(z: float) -> float:
-    """1/Gamma(z) for finite real z, exactly 0 at z = 0, -1, -2, ...
-
-    For z <= 0 the reflection 1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi
-    (DLMF 5.5.3) is used, with sin(pi z) taken at the offset of z from the
-    nearest integer so that it keeps full relative accuracy next to a zero.
-    """
-    if z > 0.0:
-        return math.exp(-ln_gamma(z))
-    n = round(z)
-    if z == n:
-        return 0.0
-    sin_pi_z = math.sin(math.pi * (z - n)) * (-1.0 if n % 2 else 1.0)
-    return sin_pi_z * math.exp(ln_gamma(1.0 - z)) / math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +121,8 @@ def bessel_j(order: float, x: float) -> float:
 
 def spherical_j(nu: float, x: float) -> float:
     """Spherical Bessel function j_nu(x) = sqrt(pi/(2x)) J_{nu+1/2}(x)."""
-    if not 0.0 < x <= BESSEL_X_MAX:
-        raise ValueError(f"spherical_j domain is 0 < x <= {BESSEL_X_MAX}, got x={x}")
-    return math.sqrt(math.pi / (2.0 * x)) * bessel_j(nu + 0.5, x)
+    j = bessel_j(nu + 0.5, x)  # refuses x outside (0, 40] before 1/x is formed
+    return math.sqrt(math.pi / (2.0 * x)) * j
 
 
 def riccati_derivative(nu: float, x: float) -> float:
@@ -142,12 +137,9 @@ def riccati_derivative(nu: float, x: float) -> float:
     """
     if not nu >= 0.0:
         raise ValueError(f"riccati_derivative requires nu >= 0, got {nu}")
-    if not 0.0 < x <= BESSEL_X_MAX:
-        raise ValueError(
-            f"riccati_derivative domain is 0 < x <= {BESSEL_X_MAX}, got x={x}"
-        )
-    pref = math.sqrt(math.pi / (2.0 * x))
-    return pref * ((nu + 1.0) * bessel_j(nu + 0.5, x) - x * bessel_j(nu + 1.5, x))
+    j_lo = bessel_j(nu + 0.5, x)  # refuses x outside (0, 40] before 1/x is formed
+    j_hi = bessel_j(nu + 1.5, x)
+    return math.sqrt(math.pi / (2.0 * x)) * ((nu + 1.0) * j_lo - x * j_hi)
 
 
 # ---------------------------------------------------------------------------

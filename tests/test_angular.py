@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from wedgemodes import angular
 from wedgemodes.angular import (
     POLE_CLIP,
     POLE_MARGIN,
@@ -257,6 +259,17 @@ class TestBuildTesseral:
         with pytest.raises(ValueError):
             build_tesseral(0.75, -1, grid)
 
+    @pytest.mark.parametrize("k", [2.0, np.float64(2.0), 0.5, "2"],
+                             ids=["float", "float64", "fraction", "str"])
+    def test_rejects_non_integer_steps(self, grid, k):
+        # the integer-index rule of ModeId and te_root: 2.0 is not an index
+        with pytest.raises(ValueError, match="lowering count k must be an integer"):
+            build_tesseral(0.75, k, grid)
+
+    def test_numpy_integer_steps_match_int(self, grid):
+        got = build_tesseral(0.75, np.int64(2), grid)
+        np.testing.assert_array_equal(got.values, build_tesseral(0.75, 2, grid).values)
+
 
 class TestEigenvalueEstimate:
     def test_sectoral_quotient(self, grid):
@@ -270,6 +283,12 @@ class TestEigenvalueEstimate:
     def test_rejects_zero_function(self, grid):
         f = AngularFunction(m=1.0, theta_grid=grid, values=np.zeros_like(grid))
         with pytest.raises(ValueError):
+            casimir_eigenvalue_estimate(f)
+
+    def test_rejects_grid_without_interior_window(self):
+        # all 16 samples lie below POLE_MARGIN, so no quadrature window is left
+        f = sectoral(0.5, np.linspace(0.01, 0.09, 16))
+        with pytest.raises(ValueError, match="interior window holds too few samples"):
             casimir_eigenvalue_estimate(f)
 
 
@@ -349,6 +368,23 @@ def shoot_and_fit(nu: float, m: float) -> tuple[float, float, float]:
     scale = float(np.linalg.norm(sol.y[0]))
     residual = float(np.linalg.norm(misfit)) / scale if scale > 0.0 else 0.0
     return float(coef[0]), float(coef[3]), residual
+
+
+class TestReciprocalGamma:
+    def test_agrees_with_high_precision_reference(self):
+        # south_pole_coefficient only asks for arguments in (-1, 2)
+        rng = random.Random(16)
+        zs = [rng.uniform(-1.0, 2.0) for _ in range(2000)]
+        zs += [s * 10.0**-e for e in range(1, 300, 7) for s in (1.0, -1.0)]
+        zs += [edge + s * 10.0**-e for e in range(1, 16) for edge, s in ((-1.0, 1.0), (2.0, -1.0))]
+        with mp.workdps(40):
+            for z in zs:
+                ref = mp.rgamma(mp.mpf(z))
+                assert abs(angular._rgamma(z) - ref) <= 1e-15 * abs(ref), z
+
+    @pytest.mark.parametrize("z", [0.0, -0.0])
+    def test_exact_zero_at_zero(self, z):
+        assert angular._rgamma(z) == 0.0
 
 
 class TestSouthPole:

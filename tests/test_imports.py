@@ -62,6 +62,13 @@ def test_angular_and_oracle_imports_leave_scipy_out():
     assert "scipy" not in heavy_modules_after("import wedgemodes.angular, wedgemodes.oracle")
 
 
+def test_angular_import_leaves_modes_out():
+    # the certify set-up imports angular alone; the integer-index rule that
+    # angular shares with modes lives in specfun for this reason
+    body = "import wedgemodes.angular\nassert 'wedgemodes.modes' not in sys.modules"
+    assert heavy_modules_after(body, ()) == []
+
+
 def test_south_pole_coefficient_leaves_scipy_out():
     body = "from wedgemodes import angular\nangular.south_pole_coefficient(7 / 6, 2 / 3)"
     assert "scipy" not in heavy_modules_after(body)

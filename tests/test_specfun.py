@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from wedgemodes import angular, specfun
+from wedgemodes.modes import te_field_shape
 from wedgemodes.specfun import (
     BESSEL_X_MAX,
     ConvergenceError,
@@ -59,16 +60,6 @@ class TestLnGamma:
     def test_rejects_non_positive_argument(self, z):
         with pytest.raises(ValueError):
             ln_gamma(z)
-
-
-class TestReciprocalGamma:
-    @pytest.mark.parametrize("z", [-0.3, -1.7, -5.5, -0.999, -3.001, 0.3, 1.0, 2.5, 7.2, 30.0])
-    def test_agrees_with_math_gamma(self, z):
-        assert specfun._rgamma(z) == pytest.approx(1.0 / math.gamma(z), rel=1e-13)
-
-    @pytest.mark.parametrize("z", [0.0, -1.0, -2.0])
-    def test_vanishes_at_non_positive_integers(self, z):
-        assert specfun._rgamma(z) == 0.0
 
 
 class TestBesselJ:
@@ -180,6 +171,29 @@ class TestRiccatiDerivative:
             err = abs(riccati_derivative(nu, x) - ref) / max(abs(ref), 1 / mp.sqrt(t))
             worst = max(worst, float(err))
         assert worst < 2e-11
+
+
+# x and theta are refused by the series that own them, bessel_j and
+# legendre_theta, before any caller divides by x or sin(theta)
+_REFUSING_CALLS = {
+    "spherical_j": lambda x: spherical_j(1.5, x),
+    "riccati_derivative": lambda x: riccati_derivative(1.5, x),
+    "te_field_shape-x": lambda x: te_field_shape(1.5, 0.5, x, 1.0),
+    "te_field_shape-theta": lambda theta: te_field_shape(1.5, 0.5, 2.0, theta),
+}
+_BAD_X = (0.0, -1.0, BESSEL_X_MAX + 0.5, math.nan, math.inf)
+_BAD_THETA = (0.0, math.pi, math.nan)
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [(name, v) for name in _REFUSING_CALLS
+     for v in (_BAD_THETA if name.endswith("theta") else _BAD_X)],
+)
+def test_domain_refusal_is_a_value_error(call, value):
+    # a ZeroDivisionError here would mean a prefactor was formed first
+    with pytest.raises(ValueError):
+        _REFUSING_CALLS[call](value)
 
 
 class TestLegendreTheta:

@@ -272,7 +272,11 @@ def collinearity(f: AngularFunction, g: AngularFunction) -> float:
 
 
 def _rgamma(z: float) -> float:
-    """``1/Gamma(z)`` for ``-1 < z < 2``, exactly 0 at ``z = 0`` (and ``-0.0``)."""
+    """``1/Gamma(z)``, exactly 0 at ``z = 0`` (and ``-0.0``).
+
+    ``south_pole_coefficient`` only asks for ``-1 < z < 2``; elsewhere this
+    holds wherever ``math.gamma`` is finite, and refuses ``z = -1, -2, ...``.
+    """
     return 0.0 if z == 0.0 else 1.0 / math.gamma(z)
 
 

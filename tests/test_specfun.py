@@ -62,6 +62,15 @@ class TestLnGamma:
             ln_gamma(z)
 
 
+class TestReciprocalGamma:
+    # angular._rgamma is 1/math.gamma away from z = 0; these points reach
+    # past the (-1, 2) that south_pole_coefficient asks for, near poles too
+    @pytest.mark.parametrize("z", [-0.3, -1.7, -5.5, -0.999, -3.001, 0.3, 1.0, 2.5, 7.2, 30.0])
+    def test_agrees_with_math_gamma(self, z):
+        assert angular._rgamma(z) == pytest.approx(1.0 / math.gamma(z), rel=1e-13)
+        assert angular._rgamma(z) == pytest.approx(float(mp.rgamma(mp.mpf(z))), rel=1e-13)
+
+
 class TestBesselJ:
     def test_half_order_closed_form(self):
         # J_{1/2}(x) = sqrt(2/(pi x)) sin(x); at x = pi/2 this is 2/pi

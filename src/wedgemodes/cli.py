@@ -175,17 +175,19 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    def need(flag: str, value: float | None) -> float:
-        if value is None:
-            raise ValueError(f"--fn {args.fn} requires {flag}")
-        return value
-
+    # the flags each function takes besides --x: required, and the others refused
+    takes = {"sph-j": ("nu",), "riccati-d": ("nu",), "legendre-theta": ("nu", "m"),
+             "ln-gamma": ()}[args.fn]
+    for flag in ("nu", "m"):
+        if (getattr(args, flag) is None) == (flag in takes):
+            verb = "requires" if flag in takes else "does not take"
+            raise ValueError(f"--fn {args.fn} {verb} --{flag}")
     if args.fn == "sph-j":
-        value = spherical_j(need("--nu", args.nu), args.x)
+        value = spherical_j(args.nu, args.x)
     elif args.fn == "riccati-d":
-        value = riccati_derivative(need("--nu", args.nu), args.x)
+        value = riccati_derivative(args.nu, args.x)
     elif args.fn == "legendre-theta":
-        value = legendre_theta(need("--nu", args.nu), need("--m", args.m), args.x)
+        value = legendre_theta(args.nu, args.m, args.x)
     else:
         value = ln_gamma(args.x)
     _emit(f"{value:.12g}\n".encode("utf-8"))

@@ -18,24 +18,10 @@ field, so the enumerator never emits it.
 
 Roots are located on a fixed grid (step 0.05) and refined by bisection
 to a relative width of 1e-12, giving deterministic, reproducible spectra.
-The grid ``0.05 + 0.05 + ...`` is accumulated by addition once, and the
-scan evaluates only where a root can be.  The Pruefer angle of
-``u = x j_nu`` grows by at most one radian per unit of ``x``, so
-consecutive roots of either polarisation are at least ``pi`` apart, no TM
-root lies below the turning point ``sqrt(nu (nu + 1))``, and no TE root
-below it plus ``pi / 2``.  A tower's first evaluation is at the last grid
-point below that bound, and after each root the scan resumes at the last
-grid point ``pi - 0.05`` above it.  From any scan point ``g`` below the
-next root, the grid points in ``(g, g + pi]`` hold at most one root, so
-the scan evaluates that window's end and, if the sign changed, halves the
-window down to the bracketing grid pair (see :func:`_tower_roots`).  Above
-``x = 34``, where the values are inaccurate, it steps every point.  The
-brackets are those a scan of every grid point would find.
-Each (polarisation, nu) tower is scanned once: a memo keeps its roots and
-the point where its scan stopped, and later requests resume the scan
-there, so a root is the same float however it was first reached.  The
-memo holds at most ``_TOWERS_MAX`` towers and drops the least recently
-used; a dropped tower is rescanned from the same start, to the same floats.
+The scan evaluates only where the Pruefer bounds of ``u = x j_nu`` allow a
+root, and each (polarisation, nu) tower is scanned once, resumably, in a
+bounded memo, so a root is the same float however it was first reached
+(see :func:`_tower_roots`).
 """
 
 from __future__ import annotations
@@ -184,8 +170,6 @@ def _bisect(func, nu: float, lo: float, f_lo: float, hi: float) -> float:
     while hi - lo > _BISECT_REL_WIDTH * hi:
         mid = 0.5 * (lo + hi)
         f_mid = func(nu, mid)
-        if f_mid == 0.0:
-            return mid
         if (f_lo < 0.0) == (f_mid < 0.0):
             lo, f_lo = mid, f_mid
         else:
@@ -195,20 +179,19 @@ def _bisect(func, nu: float, lo: float, f_lo: float, hi: float) -> float:
 
 class _Tower:
     """Resumable scan of one (polarisation, nu) root tower: the roots found
-    so far, ascending, and the ``_GRID`` index of the last scan point with
-    the characteristic value ``f`` there."""
+    so far, ascending, and the ``_GRID`` index where the scan stopped."""
 
-    __slots__ = ("roots", "index", "f")
+    __slots__ = ("roots", "index")
 
-    def __init__(self, index: int, f: float) -> None:
+    def __init__(self, index: int) -> None:
         self.roots: list[float] = []
         self.index = index
-        self.f = f
 
 
 #: The towers scanned most recently, keyed by (polarisation, nu), oldest
 #: use first: a request re-inserts its tower, and past ``_TOWERS_MAX``
-#: entries the oldest is dropped.  One ``enumerate_spectrum`` at x_cap 11
+#: entries the oldest is dropped; a dropped tower is rescanned from the
+#: same start, to the same floats.  One ``enumerate_spectrum`` at x_cap 11
 #: touches a few hundred towers.  The lock keeps two threads resuming one
 #: tower from appending the same root twice.
 _TOWERS: dict[tuple[str, float], _Tower] = {}
@@ -217,12 +200,14 @@ _TOWERS_LOCK = threading.Lock()
 
 
 def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]:
-    """The roots of the (pol, nu) tower found so far, ascending.
+    """A new list of the first ``count`` roots of the (pol, nu) tower at or
+    below ``x_cap``, ascending.
 
-    Resumes the tower's scan until it holds ``count`` roots, its scan point
-    has passed ``x_cap``, or it stands on the last grid point at or below
-    ``x = 40``.  The list may hold roots beyond ``count`` or above ``x_cap``
-    from earlier scans; it is the memo itself, so callers must not modify it.
+    The tower's scan resumes where it last stopped and runs until the
+    tower holds ``count`` roots, its scan point has passed ``x_cap``, or it
+    stands on the last grid point at or below ``x = 40``.  Roots found
+    earlier stay in the memo, so a root is the same float whatever the
+    order of the counts and caps requested.
 
     The scan evaluates only where a root can be.  ``u = x j_nu(x)`` solves
     ``u'' + q u = 0`` with ``q = 1 - nu (nu + 1) / x**2 <= 1``, so the
@@ -244,17 +229,18 @@ def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]
     From its scan point ``g``, below the next root ``r'``, the scan takes
     the window of grid points in ``(g, g + pi]``.  The root after ``r'``
     lies above ``r' + pi > g + pi``, so the window holds at most one root,
-    and its bracket is the first grid pair across which the sign changes
-    (or whose upper value is exactly 0.0).  The scan evaluates the window's
-    end: an unchanged sign means the window is root-free, and the scan
-    moves there; otherwise it halves the window over grid indices down to
-    that pair and bisects it.  A window ends at most at the first grid
-    point above ``x_cap`` and the last at or below ``_HALVING_MAX_X = 34``;
-    from there on the window is one step, because the inaccurate values
-    above x ~ 34 can change sign several times within ``pi``.  All points
-    come from one accumulated grid, so the brackets, and with them the
-    roots, are the floats a scan of every grid point from ``x = 0.05``
-    finds wherever the computed signs are right.
+    and its bracket is the first grid pair across which the sign changes.
+    The scan evaluates ``g`` when it resumes and the window's end: an
+    unchanged sign means the window is root-free, and the scan moves
+    there; otherwise it halves the window over grid indices down to that
+    pair and bisects it.  Every sign test takes an exact 0.0 as
+    non-negative.  A window ends at most at the first grid point above
+    ``x_cap`` and the last at or below ``_HALVING_MAX_X = 34``; from there
+    on the window is one step, because the inaccurate values above x ~ 34
+    can change sign several times within ``pi``.  All points come from one
+    accumulated grid, so the brackets, and with them the roots, are the
+    floats a scan of every grid point from ``x = 0.05`` finds wherever the
+    computed signs are right.
     """
     lowest = math.sqrt(nu * (nu + 1.0))
     if pol == "TE":
@@ -266,35 +252,34 @@ def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]
     with _TOWERS_LOCK:
         tower = _TOWERS.pop(key, None)
         if tower is None:
-            i = max(bisect_right(_GRID, lowest) - 1, 0)
-            tower = _Tower(i, func(nu, _GRID[i]))
+            tower = _Tower(max(bisect_right(_GRID, lowest) - 1, 0))
             if len(_TOWERS) >= _TOWERS_MAX:
                 del _TOWERS[next(iter(_TOWERS))]
         _TOWERS[key] = tower
-        roots, i, f_i = tower.roots, tower.index, tower.f
+        roots, i, f_i = tower.roots, tower.index, None
         while len(roots) < count and _GRID[i] <= x_cap and i + 1 < len(_GRID):
+            if f_i is None:
+                f_i = func(nu, _GRID[i])
             hi = min(bisect_right(_GRID, _GRID[i] + math.pi) - 1,
                      bisect_right(_GRID, x_cap),
                      max(i + 1, bisect_right(_GRID, _HALVING_MAX_X) - 1))
             f_hi = func(nu, _GRID[hi])
-            if f_hi != 0.0 and (f_i < 0.0) == (f_hi < 0.0):
+            if (f_i < 0.0) == (f_hi < 0.0):
                 i, f_i = hi, f_hi
                 continue
             lo, f_lo = i, f_i
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 f_mid = func(nu, _GRID[mid])
-                if f_mid != 0.0 and (f_lo < 0.0) == (f_mid < 0.0):
+                if (f_lo < 0.0) == (f_mid < 0.0):
                     lo, f_lo = mid, f_mid
                 else:
-                    hi, f_hi = mid, f_mid
-            x_hi = _GRID[hi]
-            root = x_hi if f_hi == 0.0 else _bisect(func, nu, _GRID[lo], f_lo, x_hi)
+                    hi = mid
+            root = _bisect(func, nu, _GRID[lo], f_lo, _GRID[hi])
             roots.append(root)
-            i = bisect_right(_GRID, root + math.pi - _SCAN_STEP) - 1
-            f_i = func(nu, _GRID[i])
-        tower.index, tower.f = i, f_i
-    return roots
+            i, f_i = bisect_right(_GRID, root + math.pi - _SCAN_STEP) - 1, None
+        tower.index = i
+        return roots[:min(count, bisect_right(roots, x_cap))]
 
 
 def _root(pol: str, nu: float, s: int) -> float:
@@ -366,8 +351,6 @@ def enumerate_spectrum(
     """
     if not math.isfinite(f_max_hz):
         raise ValueError("f_max_hz must be finite")
-    if f_max_hz <= 0.0:
-        return []
     unknown = set(polarisations) - {"TM", "TE"}
     if unknown:
         raise ValueError(f"unknown polarisations: {sorted(unknown)}")
@@ -393,10 +376,7 @@ def enumerate_spectrum(
                     break
             weights.append(m)
             k = 0
-            while xs := [
-                x for x in _tower_roots(pol, base + (k + shift), math.inf, x_cap)
-                if x <= x_cap
-            ]:
+            while xs := _tower_roots(pol, base + (k + shift), math.inf, x_cap):
                 if not (pol == "TE" and null_field_check(m + k, m)):
                     for s, x in enumerate(xs, 1):
                         mode = ModeId(polarisation=pol, n=n, k=k, s=s, m=m)

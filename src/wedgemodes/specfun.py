@@ -107,7 +107,9 @@ def bessel_j(order: float, x: float) -> float:
         raise ValueError(f"bessel_j requires order > -1, got {order}")
     half_x = 0.5 * x
     q = half_x * half_x
-    term = math.exp(order * math.log(half_x) - ln_gamma(order + 1.0))
+    # half of x = 5e-324 rounds to 0, so its logarithm is taken from x there
+    log_half_x = math.log(half_x) if half_x > 0.0 else math.log(x) - math.log(2.0)
+    term = math.exp(order * log_half_x - ln_gamma(order + 1.0))
     total = term
     for k in _BESSEL_INDICES:
         term = -term * q / (k * (k + order))
@@ -122,7 +124,8 @@ def bessel_j(order: float, x: float) -> float:
 def spherical_j(nu: float, x: float) -> float:
     """Spherical Bessel function j_nu(x) = sqrt(pi/(2x)) J_{nu+1/2}(x)."""
     j = bessel_j(nu + 0.5, x)  # refuses x outside (0, 40] before 1/x is formed
-    return math.sqrt(math.pi / (2.0 * x)) * j
+    # sqrt(pi/2) / sqrt(x) stays finite at subnormal x, where pi/(2x) overflows
+    return math.sqrt(0.5 * math.pi) / math.sqrt(x) * j
 
 
 def riccati_derivative(nu: float, x: float) -> float:
@@ -133,13 +136,14 @@ def riccati_derivative(nu: float, x: float) -> float:
 
         d/dx[x j_nu] = sqrt(pi/(2x)) ((nu+1) J_{nu+1/2}(x) - x J_{nu+3/2}(x)),
 
-    so only orders >= 1/2 are evaluated.
+    so only orders >= 1/2 are evaluated, with the factor formed as in
+    ``spherical_j``.
     """
     if not nu >= 0.0:
         raise ValueError(f"riccati_derivative requires nu >= 0, got {nu}")
     j_lo = bessel_j(nu + 0.5, x)  # refuses x outside (0, 40] before 1/x is formed
     j_hi = bessel_j(nu + 1.5, x)
-    return math.sqrt(math.pi / (2.0 * x)) * ((nu + 1.0) * j_lo - x * j_hi)
+    return math.sqrt(0.5 * math.pi) / math.sqrt(x) * ((nu + 1.0) * j_lo - x * j_hi)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,27 @@ class TestEval:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("ln-gamma", "--nu", "3", "--x", "2"), "--nu"),
+        (("ln-gamma", "--m", "0.5", "--x", "2"), "--m"),
+        (("sph-j", "--nu", "1", "--m", "5", "--x", "2"), "--m"),
+        (("riccati-d", "--nu", "1", "--m", "5", "--x", "2"), "--m"),
+    ])
+    def test_refuses_a_flag_its_function_does_not_take(self, argv, flag):
+        # these once printed lnGamma(2) = 0 and j_1(2), the flag ignored
+        proc = run_cli("eval", "--fn", *argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: --fn {argv[0]} does not take {flag}\n"
+
+    @pytest.mark.parametrize("fn, x", [("sph-j", "1e-320"), ("riccati-d", "1e-309")])
+    def test_subnormal_argument_gives_the_limit(self, fn, x):
+        # j_0(x) and d/dx[x j_0(x)] = cos x tend to 1; the factor
+        # sqrt(pi/(2x)) once overflowed there and printed inf
+        proc = run_cli("eval", "--fn", fn, "--nu", "0", "--x", x)
+        assert proc.returncode == 0
+        assert proc.stdout == "1\n"
+
 
 class TestValidate:
     def test_single_block_passes(self):

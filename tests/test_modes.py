@@ -189,12 +189,12 @@ class TestRoots:
     def test_rejects_non_integral_radial_index(self):
         # refused before the memo is touched; integer calls are unaffected
         first = te_root(1.0, 1)
-        memo = {key: (list(t.roots), t.index, t.f) for key, t in modes._TOWERS.items()}
+        memo = {key: (list(t.roots), t.index) for key, t in modes._TOWERS.items()}
         for root in (te_root, tm_root):
             for s in (1.5, 2.0, math.nan, math.inf, "2"):
                 with pytest.raises(ValueError, match="root index s must be an integer"):
                     root(1.0, s)
-        assert {key: (list(t.roots), t.index, t.f) for key, t in modes._TOWERS.items()} == memo
+        assert {key: (list(t.roots), t.index) for key, t in modes._TOWERS.items()} == memo
         assert te_root(1.0, np.int64(1)) == first
 
     def test_first_roots_increase_with_degree(self):
@@ -215,7 +215,9 @@ class TestRoots:
         # each root where no root can lie leaves 384 when stepping.  Halving
         # each window costs more here (399): each next root of nu = 1 lies
         # one or two points past the skip, where halving a 62-point window
-        # takes about 7 evaluations and stepping 1 or 2
+        # takes about 7 evaluations and stepping 1 or 2.  Evaluating the scan
+        # point when a request resumes, not storing its value when one stops,
+        # saves the evaluation after the tenth root (398)
         calls = 0
 
         def counted(nu, x):
@@ -229,7 +231,7 @@ class TestRoots:
         while te_root(1.0, s) < 30.0:
             s += 1
         assert s == 10
-        assert calls == 399
+        assert calls == 398
 
     def test_root_is_the_same_float_before_and_after_enumeration(self, monkeypatch):
         cfg = WedgeConfig.from_degrees(90.0, RADIUS)
@@ -253,7 +255,9 @@ class TestRoots:
         # from x = 0.05 the nu = 10 tower costs 464 evaluations up to x = 20;
         # starting below sqrt(110) ~ 10.49 (TM) or sqrt(110) + pi/2 (TE) and
         # skipping pi - 0.05 after each root leaves 139 and 146 when
-        # stepping, and halving each window of pi leaves 80 and 81
+        # stepping, and halving each window of pi leaves 80 and 81.  The
+        # resume point after the second root lies above the cap, and it is
+        # no longer evaluated there (79 and 80)
         calls = 0
         plain = getattr(modes, func)
 
@@ -266,7 +270,7 @@ class TestRoots:
         monkeypatch.setattr(modes, func, counted)
         roots = modes._tower_roots(pol, 10.0, math.inf, 20.0)
         assert len(roots) == 2
-        assert calls == {"TE": 81, "TM": 80}[pol]
+        assert calls == {"TE": 80, "TM": 79}[pol]
 
     @pytest.mark.parametrize("pol", ["TE", "TM"])
     def test_skipping_keeps_the_floats_of_a_plain_scan(self, monkeypatch, pol):
@@ -320,6 +324,41 @@ class TestRoots:
         stepped = {nu: list(modes._tower_roots(pol, nu, math.inf, 40.0)) for nu in orders}
         assert halved == stepped
         assert sum(map(len, halved.values())) > 2 * len(orders)
+
+    def test_returned_roots_are_a_copy(self, monkeypatch):
+        # the engine hands out a new list each time, so a caller that edits
+        # one changes neither the memo nor any later answer
+        monkeypatch.setattr(modes, "_TOWERS", {})
+        got = modes._tower_roots("TE", 2.5, 3, 40.0)
+        want = list(got)
+        got[0] = -1.0
+        got.append(99.0)
+        assert modes._tower_roots("TE", 2.5, 3, 40.0) == want
+        got = modes._tower_roots("TE", 2.5, math.inf, 20.0)
+        below = list(got)
+        got.clear()
+        assert [te_root(2.5, s) for s in (1, 2, 3)] == want == below[:3]
+        assert modes._tower_roots("TE", 2.5, math.inf, 20.0) == below
+        assert modes._TOWERS[("TE", 2.5)].roots == below
+
+    @pytest.mark.parametrize("pol", ["TE", "TM"])
+    def test_any_order_of_counts_and_caps_gives_the_same_floats(self, monkeypatch, pol):
+        # every request returns the first `count` roots at or below its cap
+        # of the list one full scan finds, whatever was asked before it
+        rng = np.random.default_rng(16 if pol == "TE" else 17)
+        orders = [0.0, 1.0, *map(float, rng.uniform(0.0, 30.0, 10))]
+        monkeypatch.setattr(modes, "_TOWERS", {})
+        full = {nu: modes._tower_roots(pol, nu, math.inf, 40.0) for nu in orders}
+        monkeypatch.setattr(modes, "_TOWERS", {})
+        root = te_root if pol == "TE" else tm_root
+        for _ in range(300):
+            nu = orders[rng.integers(len(orders))]
+            count = [math.inf, *range(6)][rng.integers(7)]
+            cap = float(rng.uniform(0.0, 40.0))
+            want = [x for x in full[nu] if x <= cap][:len(full[nu]) if count == math.inf else count]
+            assert modes._tower_roots(pol, nu, count, cap) == want, (nu, count, cap)
+            s = int(rng.integers(1, len(full[nu]) + 1))
+            assert root(nu, s) == full[nu][s - 1], (nu, s)
 
     @pytest.mark.xfail(
         strict=True,
@@ -375,7 +414,7 @@ class TestRoots:
     def test_memo_keeps_the_most_recent_towers(self, monkeypatch):
         monkeypatch.setattr(modes, "_TOWERS", {})
         first = [te_root(1.5, s) for s in (1, 2)]
-        # an empty request still scans one point, so it costs one evaluation
+        # an empty request creates the tower but evaluates nothing
         orders = [2.0 + 1e-3 * i for i in range(modes._TOWERS_MAX + 10)]
         for nu in orders:
             modes._tower_roots("TE", nu, 0, 20.0)
@@ -563,6 +602,15 @@ class TestEnumerate:
         cfg = WedgeConfig.from_degrees(90.0, RADIUS)
         with pytest.raises(ValueError):
             enumerate_spectrum(cfg, 1e10, polarisations={"TM", "TX"})
+
+    def test_rejects_unknown_polarisation_at_any_cap(self):
+        # the refusal comes before the walk, which yields no tower at a
+        # cap at or below zero
+        cfg = WedgeConfig.from_degrees(90.0, RADIUS)
+        for cap in (0.0, -1e9):
+            assert enumerate_spectrum(cfg, cap) == []
+            with pytest.raises(ValueError, match="unknown polarisations"):
+                enumerate_spectrum(cfg, cap, polarisations={"TX"})
 
     def test_rejects_cap_beyond_root_window(self):
         cfg = WedgeConfig.from_degrees(90.0, RADIUS)

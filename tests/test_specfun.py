@@ -182,6 +182,23 @@ class TestRiccatiDerivative:
         assert worst < 2e-11
 
 
+@pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-310])
+@pytest.mark.parametrize("nu", [0.0, 0.25, 1.0, 5.0])
+def test_subnormal_argument_against_high_precision_reference(nu, x):
+    # pi/(2x) overflows below x ~ 8.7e-309, which once gave inf and
+    # inf * 0 = nan, and half of x = 5e-324 rounds to 0.  Each value must be
+    # mpmath's to 1e-12 (the leading term exp((nu + 1/2) ln(x/2) - ...)
+    # carries about 560 eps here; measured worst 1.2e-13), or within 1e-300
+    # where it is itself subnormal: there J_{nu+1/2}(x) has underflowed to 0
+    # before the factor multiplies it, so j_1(1e-310) = 3.3e-311 reads 0
+    n, t = mp.mpf(nu), mp.mpf(x)
+    factor = mp.sqrt(mp.pi / (2 * t))
+    j_lo, j_hi = mp.besselj(n + 0.5, t), mp.besselj(n + 1.5, t)
+    assert spherical_j(nu, x) == pytest.approx(float(factor * j_lo), rel=1e-12, abs=1e-300)
+    assert riccati_derivative(nu, x) == pytest.approx(
+        float(factor * ((n + 1) * j_lo - t * j_hi)), rel=1e-12, abs=1e-300)
+
+
 # x and theta are refused by the series that own them, bessel_j and
 # legendre_theta, before any caller divides by x or sin(theta)
 _REFUSING_CALLS = {

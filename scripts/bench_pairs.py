@@ -18,8 +18,11 @@ untimed warm-up interpreter compiles the tree as in a fresh checkout.
 
 The output holds, per workload and end-to-end metric, each side's values,
 median and quartiles, the pairs each side won (ties count for neither) and
-a verdict (see :func:`verdict`), and the failed and attempted operations of
-every run.  Progress and a table of the verdicts go to stderr.
+a verdict (see :func:`verdict`), each side's median number of operations
+attempted, against which a change of ``peak_rss_mb`` can be read (the
+benchmark keeps every operation's output until its run ends), and the
+failed and attempted operations of every run.  Progress and a table of the
+verdicts and attempted operations go to stderr.
 """
 from __future__ import annotations
 
@@ -124,9 +127,27 @@ def compare(base: list[dict], head: list[dict], end_to_end: list[dict]) -> dict:
             "base_wins": sum(sign * (y - x) > 0.0 for x, y in zip(b, h)),
             "verdict": verdict(b, h, spec["better"], spec["bound"]),
         }
+    sides = (("base", base), ("head", head))
+    attempted = {side: statistics.median(r["attempted"] for r in rs) for side, rs in sides}
     runs = {side: [{k: r[k] for k in ("correct", "attempted", "failed")} for r in rs]
-            for side, rs in (("base", base), ("head", head))}
-    return {"metrics": metrics, "runs": runs}
+            for side, rs in sides}
+    return {"metrics": metrics, "attempted": attempted, "runs": runs}
+
+
+def table(workloads: dict) -> list[str]:
+    """Lines of the stderr table: per workload, each metric's medians, change,
+    head wins and verdict, then the median operations attempted."""
+    lines = [f"{'workload':<14} {'metric':<14} {'base':>10} {'head':>10} {'change':>8} "
+             f"{'wins':>5}  verdict"]
+    for workload, entry in workloads.items():
+        rows = [(name, m["base"]["median"], m["head"]["median"],
+                 f" {m['head_wins']:>2}/{PAIRS:<2}  {m['verdict']}")
+                for name, m in entry["metrics"].items()]
+        rows.append(("attempted", entry["attempted"]["base"], entry["attempted"]["head"], ""))
+        for name, b, h, tail in rows:
+            lines.append(f"{workload:<14} {name:<14} {b:>10.4g} {h:>10.4g} "
+                         f"{(h - b) / b:>+8.1%}{tail}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -158,13 +179,7 @@ def main(argv=None) -> int:
             entry["seeds"] = [args.seed, args.seed + PAIRS - 1]
             result["workloads"][workload] = entry
     args.out.write_text(json.dumps(result, indent=1) + "\n")
-    print(f"{'workload':<14} {'metric':<14} {'base':>10} {'head':>10} {'change':>8} "
-          f"{'wins':>5}  verdict", file=sys.stderr)
-    for workload, entry in result["workloads"].items():
-        for name, m in entry["metrics"].items():
-            b, h = m["base"]["median"], m["head"]["median"]
-            print(f"{workload:<14} {name:<14} {b:>10.4g} {h:>10.4g} {(h - b) / b:>+8.1%} "
-                  f"{m['head_wins']:>2}/{PAIRS:<2}  {m['verdict']}", file=sys.stderr)
+    print("\n".join(table(result["workloads"])), file=sys.stderr)
     return 0
 
 

@@ -25,7 +25,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import modes, report
+# modes and report are imported by the commands that run them, so that
+# ``eval`` starts without them
 from .oracle import legendre_spectrum_fd
 from .specfun import ConvergenceError, ln_gamma, legendre_theta, riccati_derivative, spherical_j
 
@@ -82,6 +83,8 @@ def _emit(data: bytes) -> None:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    from . import modes, report
+
     config = modes.WedgeConfig.from_degrees(args.wedge_deg, args.radius_mm * 1e-3)
     pols = {"te": frozenset(("TE",)), "tm": frozenset(("TM",)),
             "both": frozenset(("TM", "TE"))}[args.pol]
@@ -91,6 +94,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from . import report
+
     if args.wedge_deg is not None:
         wedges = [args.wedge_deg]
     else:
@@ -206,12 +211,23 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, ConvergenceError, modes.RootNotFoundError, MemoryError) as exc:
+    except (ValueError, ConvergenceError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except report.ReferenceIntegrityError as exc:
+    except (LookupError, RuntimeError) as exc:
+        # a module raises its own exceptions only once loaded, so the two
+        # classes are looked up among the loaded modules alone
+        loaded = sys.modules
+        if "wedgemodes.modes" in loaded and isinstance(
+                exc, loaded["wedgemodes.modes"].RootNotFoundError):
+            code = 2
+        elif "wedgemodes.report" in loaded and isinstance(
+                exc, loaded["wedgemodes.report"].ReferenceIntegrityError):
+            code = 1
+        else:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return code
 
 
 if __name__ == "__main__":

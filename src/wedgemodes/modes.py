@@ -21,7 +21,9 @@ to a relative width of 1e-12, giving deterministic, reproducible spectra.
 The scan evaluates only where the Pruefer bounds of ``u = x j_nu`` allow a
 root, and each (polarisation, nu) tower is scanned once, resumably, in a
 bounded memo, so a root is the same float however it was first reached
-(see :func:`_tower_roots`).
+(see :func:`_tower_roots`).  The walk of an enumeration depends on the
+wedge opening alone and is kept, without a radius, as a plan that serves
+every radius (see :func:`enumerate_spectrum`).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .specfun import BESSEL_X_MAX, _check_index, riccati_derivative, spherical_j
 from .specfun import legendre_theta
@@ -329,6 +332,55 @@ def null_field_check(nu: float, m: float) -> bool:
     return nu == 0.0 and m == 0.0
 
 
+#: Wedge plans keyed by (wedge_angle, polarisations), oldest use first as in
+#: ``_TOWERS``.  A plan is the radius-free walk of :func:`enumerate_spectrum`
+#: at the widest x cap asked for its key so far, ``(x_cap, walks)``; a
+#: request with a wider cap replaces it.  Every opening of a random sweep
+#: builds its own, so a few plans are kept.
+_PLANS: dict[tuple[float, frozenset[str]], tuple[float, list]] = {}
+_PLANS_MAX = 8
+_PLANS_LOCK = threading.Lock()
+
+
+def _walk(config: WedgeConfig, polarisations: frozenset[str], x_cap: float) -> list:
+    """The walk over (polarisation, n, k) at ``x_cap``: for TM, then TE, the
+    harmonics in order of n, each the list of its towers in order of k, a
+    tower being its roots at or below ``x_cap`` and their ``ModeId``s (none
+    for the null-field tower).  A walk over n ends at the first harmonic
+    whose k = 0 tower is empty, a walk over k at the first empty tower."""
+    walks = []
+    for pol in ("TM", "TE"):
+        if pol not in polarisations:
+            continue
+        harmonics = []
+        n = 1 if pol == "TM" else 0
+        weights: list[float] = []
+        while True:
+            m = azimuthal_index(n, config)
+            # a weight an integer J above an earlier one (to rounding)
+            # requests that weight's towers, so each degree is scanned once
+            base, shift = m, 0
+            for w in weights:
+                j = round(m - w)
+                if abs(m - w - j) <= _SAME_DEGREE_TOL:
+                    base, shift = w, j
+                    break
+            weights.append(m)
+            towers = []
+            while xs := _tower_roots(pol, base + (len(towers) + shift), math.inf, x_cap):
+                k = len(towers)
+                ids = () if pol == "TE" and null_field_check(m + k, m) else tuple(
+                    ModeId(polarisation=pol, n=n, k=k, s=s, m=m)
+                    for s in range(1, len(xs) + 1))
+                towers.append((xs, ids))
+            if not towers:
+                break
+            harmonics.append(towers)
+            n += 1
+        walks.append(harmonics)
+    return walks
+
+
 def enumerate_spectrum(
     config: WedgeConfig,
     f_max_hz: float,
@@ -348,6 +400,14 @@ def enumerate_spectrum(
     its records keep their own ``(n, k, m_n)``.  Equal modes therefore get
     the same root float, and equal frequency floats are ordered by (TM
     before TE, then n, k, s).  Repeated calls return identical lists.
+
+    The walk depends on the opening alone, so it is kept as a plan per
+    (wedge_angle, polarisations) at the widest cap asked (see ``_PLANS``),
+    and each call replays the walk's stopping rules over the plan at its
+    own cap.  A tower's roots at or below a cap are the prefix of its roots
+    at or below a wider one, and its first root lies above its Pruefer
+    bound (:func:`_tower_roots`), so the replay stops where a walk at that
+    cap stops and yields the records it yields, above x = 34 too.
     """
     if not math.isfinite(f_max_hz):
         raise ValueError("f_max_hz must be finite")
@@ -360,41 +420,29 @@ def enumerate_spectrum(
             "frequency cap exceeds the x = 40 root-search window for this radius"
         )
 
-    records: list[ModeRecord] = []
-    for pol in set(polarisations):
-        n = 1 if pol == "TM" else 0
-        weights: list[float] = []
-        while True:
-            m = azimuthal_index(n, config)
-            # a weight an integer J above an earlier one (to rounding)
-            # requests that weight's towers, so each degree is scanned once
-            base, shift = m, 0
-            for w in weights:
-                j = round(m - w)
-                if abs(m - w - j) <= _SAME_DEGREE_TOL:
-                    base, shift = w, j
-                    break
-            weights.append(m)
-            k = 0
-            while xs := _tower_roots(pol, base + (k + shift), math.inf, x_cap):
-                if not (pol == "TE" and null_field_check(m + k, m)):
-                    for s, x in enumerate(xs, 1):
-                        mode = ModeId(polarisation=pol, n=n, k=k, s=s, m=m)
-                        records.append(ModeRecord(mode, x, frequency(x, config.radius_a)))
-                k += 1
-            if k == 0:
-                break
-            n += 1
+    key = (config.wedge_angle, frozenset(polarisations))
+    with _PLANS_LOCK:
+        plan = _PLANS.pop(key, None)
+        if plan is None or plan[0] < x_cap:
+            plan = (x_cap, _walk(config, key[1], x_cap))
+            if len(_PLANS) >= _PLANS_MAX:
+                del _PLANS[next(iter(_PLANS))]
+        _PLANS[key] = plan
 
-    records.sort(
-        key=lambda r: (
-            r.freq_hz,
-            0 if r.id.polarisation == "TM" else 1,
-            r.id.n,
-            r.id.k,
-            r.id.s,
-        )
-    )
+    records: list[ModeRecord] = []
+    for harmonics in plan[1]:
+        for towers in harmonics:
+            if towers[0][0][0] > x_cap:
+                break
+            for xs, ids in towers:
+                count = bisect_right(xs, x_cap)
+                if not count:
+                    break
+                for mode, x in zip(ids, xs[:count]):
+                    records.append(ModeRecord(mode, x, frequency(x, config.radius_a)))
+    # the plan lists TM before TE, then n, k and s ascending, so a stable
+    # sort by frequency orders equal frequencies by that rule
+    records.sort(key=attrgetter("freq_hz"))
     return records
 
 

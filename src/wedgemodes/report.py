@@ -26,13 +26,10 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import io
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from importlib import resources
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -199,6 +196,11 @@ def _parse_reference_csv(data: bytes) -> list[ReferenceRow]:
 @functools.cache
 def _reference_rows() -> tuple[ReferenceRow, ...]:
     """The embedded rows, read, checksum-verified and parsed once per process."""
+    # imported here, like json in render, so that commands without the
+    # table start without them
+    import hashlib
+    from importlib import resources
+
     data = (resources.files("wedgemodes") / "data" / "reference_tables.csv").read_bytes()
     digest = hashlib.sha256(data).hexdigest()
     if digest != _REFERENCE_SHA256:
@@ -302,6 +304,8 @@ def render(items, fmt: str) -> bytes:
                 ["" if v is None else form.text(v) for form, v in zip(forms, values(item))]
             )
         return buf.getvalue().encode("utf-8")
+
+    import json
 
     objs = [
         {

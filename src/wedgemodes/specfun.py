@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 
 __all__ = [
     "ConvergenceError",
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 BESSEL_X_MAX = 40.0
+# the least positive normal float: a product below it lost digits to underflow
+_FLOAT_MIN = sys.float_info.min
 
 _SERIES_MAX_TERMS = 200
 _SERIES_REL_TOL = 1e-15
@@ -105,11 +108,18 @@ def bessel_j(order: float, x: float) -> float:
         raise ValueError(f"bessel_j domain is 0 < x <= {BESSEL_X_MAX}, got x={x}")
     if not order > -1.0:
         raise ValueError(f"bessel_j requires order > -1, got {order}")
+    return _bessel_series(order, x, 0.0)
+
+
+def _bessel_series(order: float, x: float, log_scale: float) -> float:
+    """exp(log_scale) J_order(x), the scale taken into the leading term, so
+    that a product whose J alone underflows keeps its digits; at
+    ``log_scale = 0.0`` the sum is ``bessel_j``'s, bit for bit."""
     half_x = 0.5 * x
     q = half_x * half_x
     # half of x = 5e-324 rounds to 0, so its logarithm is taken from x there
     log_half_x = math.log(half_x) if half_x > 0.0 else math.log(x) - math.log(2.0)
-    term = math.exp(order * log_half_x - ln_gamma(order + 1.0))
+    term = math.exp(order * log_half_x - ln_gamma(order + 1.0) + log_scale)
     total = term
     for k in _BESSEL_INDICES:
         term = -term * q / (k * (k + order))
@@ -121,11 +131,21 @@ def bessel_j(order: float, x: float) -> float:
     )
 
 
+def _scaled_bessel(order: float, x: float) -> float:
+    """sqrt(pi/2) / sqrt(x) * J_order(x) with the factor in the series'
+    leading term: used only where the plain product is 0 or subnormal,
+    because J underflowed before the factor multiplied it."""
+    return _bessel_series(order, x, 0.5 * (math.log(0.5 * math.pi) - math.log(x)))
+
+
 def spherical_j(nu: float, x: float) -> float:
     """Spherical Bessel function j_nu(x) = sqrt(pi/(2x)) J_{nu+1/2}(x)."""
     j = bessel_j(nu + 0.5, x)  # refuses x outside (0, 40] before 1/x is formed
     # sqrt(pi/2) / sqrt(x) stays finite at subnormal x, where pi/(2x) overflows
-    return math.sqrt(0.5 * math.pi) / math.sqrt(x) * j
+    value = math.sqrt(0.5 * math.pi) / math.sqrt(x) * j
+    if abs(value) < _FLOAT_MIN:
+        return _scaled_bessel(nu + 0.5, x)
+    return value
 
 
 def riccati_derivative(nu: float, x: float) -> float:
@@ -143,7 +163,10 @@ def riccati_derivative(nu: float, x: float) -> float:
         raise ValueError(f"riccati_derivative requires nu >= 0, got {nu}")
     j_lo = bessel_j(nu + 0.5, x)  # refuses x outside (0, 40] before 1/x is formed
     j_hi = bessel_j(nu + 1.5, x)
-    return math.sqrt(0.5 * math.pi) / math.sqrt(x) * ((nu + 1.0) * j_lo - x * j_hi)
+    value = math.sqrt(0.5 * math.pi) / math.sqrt(x) * ((nu + 1.0) * j_lo - x * j_hi)
+    if abs(value) < _FLOAT_MIN:
+        return (nu + 1.0) * _scaled_bessel(nu + 0.5, x) - x * _scaled_bessel(nu + 1.5, x)
+    return value
 
 
 # ---------------------------------------------------------------------------

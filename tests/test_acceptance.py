@@ -58,8 +58,9 @@ A9 = pytest.mark.acceptance("A9 null-field structure")
 
 @pytest.fixture(scope="session")
 def wedge_spectra():
-    """Enumerate all four wedge blocks from a cold root memo, timing the run."""
+    """Enumerate all four wedge blocks from cold root and plan memos, timing the run."""
     modes._TOWERS.clear()
+    modes._PLANS.clear()
     spectra = {}
     start = time.perf_counter()
     for wedge, cap_ghz in _BLOCK_CAPS_GHZ.items():

@@ -77,3 +77,34 @@ def test_wide_spread_is_resolved_when_every_head_run_beats_every_base_run():
     assert verdict(flipped, [400.0 - v for v in head], "higher", 0.25) == "unchanged"
     head[0] = 61.5
     assert verdict(base, head, "lower", 0.25) == "unresolved"
+
+
+def _run(op_p50_s, attempted):
+    return {"correct": True, "attempted": attempted, "failed": 0,
+            "metrics": {"op_p50_s": {"value": op_p50_s, "unit": "s"}}}
+
+
+_SPEC = [{"name": "op_p50_s", "unit": "s", "better": "lower", "bound": 0.25}]
+
+
+def test_compare_reports_each_sides_median_attempted_operations():
+    # a peak_rss_mb change is read against the operation counts behind it
+    base = [_run(v, a) for v, a in zip(BASE, range(100, 110))]
+    head = [_run(0.8 * v, a) for v, a in zip(BASE, [150, 160, 170, 140, 155, 165, 145,
+                                                    175, 150, 900])]
+    entry = bench_pairs.compare(base, head, _SPEC)
+    assert entry["attempted"] == {"base": 104.5, "head": 157.5}
+    assert entry["metrics"]["op_p50_s"]["verdict"] == "gain"
+    assert [r["attempted"] for r in entry["runs"]["head"]][-1] == 900
+
+
+def test_table_lists_attempted_operations_after_the_metrics():
+    base = [_run(v, 200) for v in BASE]
+    head = [_run(0.8 * v, 250) for v in BASE]
+    entry = bench_pairs.compare(base, head, _SPEC)
+    header, metric, attempted = bench_pairs.table({"radius-sweep": entry})
+    assert header.split() == ["workload", "metric", "base", "head", "change", "wins",
+                              "verdict"]
+    assert metric.split() == ["radius-sweep", "op_p50_s", "100", "80", "-20.0%", "10/10",
+                              "gain"]
+    assert attempted.split() == ["radius-sweep", "attempted", "200", "250", "+25.0%"]

@@ -213,6 +213,22 @@ class TestValidate:
         assert lines[0] == VALIDATE_HEADER
         assert lines[1] == "27,6,6,0.4553,6,pass"
 
+    def test_unmatched_row_is_reported_and_fails(self, monkeypatch, capsys):
+        # a tabulated row whose quantum numbers match no computed mode is a
+        # failure row: explained on stderr, counted in the summary as not
+        # matched and not within tolerance, left out of the mean deviation
+        from wedgemodes import cli, report
+
+        block = report.block_reference(27.0)
+        orphan = report.ReferenceRow(wedge_deg=27.0, mode_index=7, polarisation="TM",
+                                     m=0.123456, k=0, nu=0.123456,
+                                     f_theory_ghz=10.0, f_hfss_ghz=10.0)
+        monkeypatch.setattr(report, "block_reference", lambda wedge: [*block, orphan])
+        assert cli.main(["validate", "--wedge-deg", "27"]) == 1
+        out, err = capsys.readouterr()
+        assert out == f"{VALIDATE_HEADER}\n27,6,7,0.4553,6,fail\n"
+        assert err == "wedge 27 mode 7: no computed mode matches (TM, m=0.123456, k=0)\n"
+
     @pytest.mark.parametrize("tol_pct", ["nan", "-1"])
     def test_rejects_unusable_tolerance(self, tol_pct):
         # a usage error, not a validation failure (exit 1)

@@ -3,8 +3,10 @@
 numpy and scipy cost most of a cold ``wedgemodes`` process, so ``eval``,
 ``spectrum`` and ``validate`` must not load them, ``ladder-check`` loads
 numpy only, and scipy is paid for only by the FD oracle.  ``decimal`` is
-paid for only by the series oracle, which no command runs.  Each check runs
-in a fresh interpreter and counts modules; nothing is timed.
+paid for only by the series oracle, which no command runs.  ``eval`` loads
+neither ``modes`` nor ``report``, and ``json`` and ``hashlib`` are paid for
+only by JSON output and the reference table.  Each check runs in a fresh
+interpreter and counts modules; nothing is timed.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def heavy_modules_after(body: str, watched: tuple[str, ...] = ("numpy", "scipy")) -> list[str]:
     """Which of the watched modules a fresh interpreter holds after running body."""
+    # the modules are listed before json is imported to print them
     code = (
-        f"import json, sys\n{body}\n"
-        "print(json.dumps(sorted({name.split('.')[0] for name in sys.modules}"
-        f" & {set(watched)!r})))\n"
+        f"import sys\n{body}\n"
+        "loaded = {name.split('.')[0] for name in sys.modules} | set(sys.modules)\n"
+        f"found = sorted(loaded & {set(watched)!r})\n"
+        "import json\nprint(json.dumps(found))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -77,3 +81,17 @@ def test_south_pole_coefficient_leaves_scipy_out():
 def test_ladder_check_loads_numpy_only():
     body = "from wedgemodes import cli\nassert cli.main(['ladder-check']) == 0"
     assert heavy_modules_after(body) == ["numpy"]
+
+
+def test_eval_loads_neither_modes_report_nor_serializers():
+    argv = ["eval", "--fn", "sph-j", "--nu", "0.5", "--x", "2"]
+    body = f"from wedgemodes import cli\nassert cli.main({argv!r}) == 0"
+    watched = ("wedgemodes.modes", "wedgemodes.report", "csv", "json", "hashlib")
+    assert heavy_modules_after(body, watched) == []
+
+
+def test_csv_spectrum_loads_neither_json_nor_hashlib():
+    argv = ["spectrum", "--radius-mm", "15", "--wedge-deg", "90", "--fmax-ghz", "14",
+            "--format", "csv"]
+    body = f"from wedgemodes import cli\nassert cli.main({argv!r}) == 0"
+    assert heavy_modules_after(body, ("json", "hashlib", "csv")) == ["csv"]

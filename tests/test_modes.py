@@ -33,6 +33,13 @@ from wedgemodes.specfun import riccati_derivative, spherical_j
 RADIUS = 0.015  # 15 mm sphere used throughout the reference data
 
 
+def fresh_memos(monkeypatch):
+    """Empty tower and wedge-plan memos for the rest of the test: a plan
+    built earlier would serve an enumeration without touching a tower."""
+    monkeypatch.setattr(modes, "_TOWERS", {})
+    monkeypatch.setattr(modes, "_PLANS", {})
+
+
 class TestWedgeConfig:
     def test_from_degrees_derives_domain(self):
         cfg = WedgeConfig.from_degrees(90.0, RADIUS)
@@ -225,7 +232,7 @@ class TestRoots:
             calls += 1
             return spherical_j(nu, x)
 
-        monkeypatch.setattr(modes, "_TOWERS", {})
+        fresh_memos(monkeypatch)
         monkeypatch.setattr(modes, "spherical_j", counted)
         s = 1
         while te_root(1.0, s) < 30.0:
@@ -236,9 +243,9 @@ class TestRoots:
     def test_root_is_the_same_float_before_and_after_enumeration(self, monkeypatch):
         cfg = WedgeConfig.from_degrees(90.0, RADIUS)
         nu = azimuthal_index(1, cfg) + 1.0  # the n = 1, k = 1 tower
-        monkeypatch.setattr(modes, "_TOWERS", {})
+        fresh_memos(monkeypatch)
         cold = [te_root(nu, s) for s in (1, 2, 3)]
-        monkeypatch.setattr(modes, "_TOWERS", {})
+        fresh_memos(monkeypatch)
         records = enumerate_spectrum(cfg, 31.8e9)
         scanned = sorted(
             rec.x for rec in records
@@ -266,7 +273,7 @@ class TestRoots:
             calls += 1
             return plain(nu, x)
 
-        monkeypatch.setattr(modes, "_TOWERS", {})
+        fresh_memos(monkeypatch)
         monkeypatch.setattr(modes, func, counted)
         roots = modes._tower_roots(pol, 10.0, math.inf, 20.0)
         assert len(roots) == 2
@@ -297,7 +304,7 @@ class TestRoots:
         rng = np.random.default_rng(12 if pol == "TE" else 13)
         for nu in [0.0, 1.0, *rng.uniform(0.0, 30.0, 14)]:
             nu = float(nu)
-            monkeypatch.setattr(modes, "_TOWERS", {})
+            fresh_memos(monkeypatch)
             got = list(modes._tower_roots(pol, nu, math.inf, 40.0))
             want = plain_scan(nu)
             assert [x for x in got if x < 34.0] == [x for x in want if x < 34.0], nu
@@ -313,13 +320,13 @@ class TestRoots:
         rng = np.random.default_rng(14 if pol == "TE" else 15)
         orders = [0.0, *map(float, rng.uniform(0.0, 39.5, 15))]
         caps = rng.uniform(0.5, 40.0, len(orders))
-        monkeypatch.setattr(modes, "_TOWERS", {})
+        fresh_memos(monkeypatch)
         halved = {}
         for nu, cap in zip(orders, caps):
             modes._tower_roots(pol, nu, 1, 40.0)
             modes._tower_roots(pol, nu, math.inf, float(cap))
             halved[nu] = list(modes._tower_roots(pol, nu, math.inf, 40.0))
-        monkeypatch.setattr(modes, "_TOWERS", {})
+        fresh_memos(monkeypatch)
         monkeypatch.setattr(modes, "_HALVING_MAX_X", 0.0)
         stepped = {nu: list(modes._tower_roots(pol, nu, math.inf, 40.0)) for nu in orders}
         assert halved == stepped
@@ -328,7 +335,7 @@ class TestRoots:
     def test_returned_roots_are_a_copy(self, monkeypatch):
         # the engine hands out a new list each time, so a caller that edits
         # one changes neither the memo nor any later answer
-        monkeypatch.setattr(modes, "_TOWERS", {})
+        fresh_memos(monkeypatch)
         got = modes._tower_roots("TE", 2.5, 3, 40.0)
         want = list(got)
         got[0] = -1.0
@@ -347,9 +354,9 @@ class TestRoots:
         # of the list one full scan finds, whatever was asked before it
         rng = np.random.default_rng(16 if pol == "TE" else 17)
         orders = [0.0, 1.0, *map(float, rng.uniform(0.0, 30.0, 10))]
-        monkeypatch.setattr(modes, "_TOWERS", {})
+        fresh_memos(monkeypatch)
         full = {nu: modes._tower_roots(pol, nu, math.inf, 40.0) for nu in orders}
-        monkeypatch.setattr(modes, "_TOWERS", {})
+        fresh_memos(monkeypatch)
         root = te_root if pol == "TE" else tm_root
         for _ in range(300):
             nu = orders[rng.integers(len(orders))]
@@ -369,7 +376,7 @@ class TestRoots:
     )
     def test_skip_after_a_misplaced_root_keeps_the_next_one(self, monkeypatch):
         nu = 1.3773128604344242
-        monkeypatch.setattr(modes, "_TOWERS", {})
+        fresh_memos(monkeypatch)
         got = modes._tower_roots("TE", nu, math.inf, 40.0)
         with mp.workdps(30):
             mu = mp.mpf(nu) + mp.mpf(1) / 2
@@ -412,7 +419,7 @@ class TestRoots:
                 assert abs(tm[0] - mp.pi / 2) < mp.mpf(10) ** -25
 
     def test_memo_keeps_the_most_recent_towers(self, monkeypatch):
-        monkeypatch.setattr(modes, "_TOWERS", {})
+        fresh_memos(monkeypatch)
         first = [te_root(1.5, s) for s in (1, 2)]
         # an empty request creates the tower but evaluates nothing
         orders = [2.0 + 1e-3 * i for i in range(modes._TOWERS_MAX + 10)]
@@ -454,7 +461,7 @@ class TestRoots:
         # one tower: 273 of the 620 records took the float of the same mode
         # in the degree's smallest-n tower (351 -> 189 distinct floats), the
         # x = 40 lists kept theirs, and no band's worst error moved
-        monkeypatch.setattr(modes, "_TOWERS", {})
+        fresh_memos(monkeypatch)
         digest = hashlib.sha256()
         radius = 0.03
         cfg = WedgeConfig.from_degrees(300.0, radius)
@@ -471,9 +478,9 @@ class TestRoots:
 
     @pytest.mark.parametrize("nu", [1.5, 2.5, 3.5])
     def test_concurrent_requests_resume_one_scan(self, monkeypatch, nu):
-        monkeypatch.setattr(modes, "_TOWERS", {})
+        fresh_memos(monkeypatch)
         want = [te_root(nu, s) for s in range(1, 9)]
-        monkeypatch.setattr(modes, "_TOWERS", {})
+        fresh_memos(monkeypatch)
         got = {}
 
         def request(i):
@@ -681,7 +688,7 @@ def test_equal_degrees_share_one_tower(monkeypatch):
     # got roots that differ by rounding noise.  Scanned once per degree,
     # they are 50 towers, equal modes share their root float, and rows
     # that agree to print precision follow the (TM, n, k, s) rule
-    monkeypatch.setattr(modes, "_TOWERS", {})
+    fresh_memos(monkeypatch)
     records = enumerate_spectrum(WedgeConfig.from_degrees(300.0, 0.03), 45e9)
     assert len(records) == 530
     assert len(modes._TOWERS) == 50
@@ -704,3 +711,184 @@ def test_equal_degrees_share_one_tower(monkeypatch):
             if math.isclose(a.x, b.x, rel_tol=1e-6)]
     assert len(ties) == 362
     assert all(order(a) < order(b) for a, b in ties)
+
+
+def walk_without_plan(config, f_max_hz, polarisations):
+    """The records of ``enumerate_spectrum`` as it was before wedge plans:
+    every tower requested at the call's own cap, sorted by the full key."""
+    x_cap = 2.0 * math.pi * config.radius_a * f_max_hz / SPEED_OF_LIGHT
+    records = []
+    for pol in polarisations:
+        n = 1 if pol == "TM" else 0
+        weights = []
+        while True:
+            m = azimuthal_index(n, config)
+            base, shift = m, 0
+            for w in weights:
+                j = round(m - w)
+                if abs(m - w - j) <= modes._SAME_DEGREE_TOL:
+                    base, shift = w, j
+                    break
+            weights.append(m)
+            k = 0
+            while xs := modes._tower_roots(pol, base + (k + shift), math.inf, x_cap):
+                if not (pol == "TE" and null_field_check(m + k, m)):
+                    records += [ModeRecord(ModeId(pol, n, k, s, m), x,
+                                           frequency(x, config.radius_a))
+                                for s, x in enumerate(xs, 1)]
+                k += 1
+            if k == 0:
+                break
+            n += 1
+    records.sort(key=lambda r: (r.freq_hz, r.id.polarisation != "TM", r.id.n, r.id.k, r.id.s))
+    return records
+
+
+def plan_requests(seed, count_per_opening):
+    """Seeded (opening in degrees, radius, f_max, polarisations) requests in
+    random order: the openings 0, 27, 90, 180 and 300 degrees and random
+    ones, random radii, x caps up to 40 where the opening's towers are few
+    enough to scan to 40 quickly, and some caps above x = 34."""
+    rng = np.random.default_rng(seed)
+    top = {0.0: 16.0, 27.0: 14.0, 90.0: 36.0, 180.0: 40.0, 300.0: 40.0}
+    top.update((float(d), 36.0) for d in rng.uniform(100.0, 350.0, 2))
+    pols = (frozenset(("TM", "TE")), frozenset(("TM", "TE")), frozenset(("TE",)),
+            frozenset(("TM",)))
+    requests = []
+    for deg, x_top in top.items():
+        for _ in range(count_per_opening):
+            radius = float(rng.uniform(0.005, 0.04))
+            x_cap = float(rng.uniform(0.5, x_top)) * (1.0 - 1e-12)
+            f_max = x_cap * SPEED_OF_LIGHT / (2.0 * math.pi * radius)
+            requests.append((deg, radius, f_max, pols[rng.integers(len(pols))]))
+    order = rng.permutation(len(requests))
+    return [requests[i] for i in order]
+
+
+class TestWedgePlans:
+    def test_plan_served_records_equal_a_walk_without_plan(self, monkeypatch):
+        # the same ids, x floats, frequency floats and order at every cap up
+        # to 40, above x = 34 too, whether the plan serving a request was
+        # built at its cap, at a wider one, or after both memos were emptied
+        fresh_memos(monkeypatch)
+        requests = plan_requests(18, 6)
+        # each request is followed by one at a lower cap and another radius,
+        # which an existing plan serves
+        rng = np.random.default_rng(20)
+        requests = [req for deg, radius, f_max, pols in requests
+                    for req in ((deg, radius, f_max, pols),
+                                (deg, 0.02, f_max * radius / 0.02 * rng.random(), pols))]
+        served = above_34 = 0
+        for i, (deg, radius, f_max, pols) in enumerate(requests):
+            if i in (len(requests) // 3, 2 * len(requests) // 3):
+                fresh_memos(monkeypatch)
+            config = WedgeConfig.from_degrees(deg, radius)
+            x_cap = 2.0 * math.pi * radius * f_max / SPEED_OF_LIGHT
+            plan = modes._PLANS.get((config.wedge_angle, pols))
+            served += plan is not None and plan[0] >= x_cap
+            got = enumerate_spectrum(config, f_max, set(pols))
+            assert got == walk_without_plan(config, f_max, pols), (deg, radius, f_max, pols)
+            above_34 += sum(r.x > 34.0 for r in got)
+        assert len(requests) == 84
+        assert served >= 42 and above_34 > 0, (served, above_34)
+
+    @pytest.mark.parametrize("pol", ["TE", "TM"])
+    def test_first_roots_lie_above_the_bound_below_which_no_tower_is_scanned(
+            self, monkeypatch, pol):
+        # a walk finds a tower empty at a cap at or below its Pruefer bound
+        # without scanning it, and a replay at a cap below its first root;
+        # the two agree because every first root lies above that bound
+        fresh_memos(monkeypatch)
+        rng = np.random.default_rng(21 if pol == "TE" else 22)
+        found = 0
+        for nu in [0.0, *map(float, rng.uniform(0.0, 39.5, 300))]:
+            bound = math.sqrt(nu * (nu + 1.0)) + (0.5 * math.pi if pol == "TE" else 0.0)
+            first = modes._tower_roots(pol, nu, 1, 40.0)
+            assert not first or first[0] > bound, nu
+            found += bool(first)
+        assert found > 200
+
+    def test_replay_keeps_the_walks_stopping_rules(self, monkeypatch):
+        # towers whose first roots do not rise with nu, as roots misplaced
+        # above x = 34 could make them: at a lower cap the walk over k stops
+        # at the first empty tower and the walk over n at the first empty
+        # harmonic, so a root of a later tower below the cap is not listed,
+        # as a prefix of the widest plan would list it
+        fake = {2.0 / 3.0: [2.5], 5.0 / 3.0: [4.0], 8.0 / 3.0: [2.8], 4.0 / 3.0: [1.5]}
+
+        def tower_roots(pol, nu, count, x_cap):
+            xs = next((v for key, v in fake.items() if abs(nu - key) < 1e-9), [])
+            return [x for i, x in enumerate(xs) if i < count and x <= x_cap and pol == "TM"]
+
+        fresh_memos(monkeypatch)
+        monkeypatch.setattr(modes, "_tower_roots", tower_roots)
+        config = WedgeConfig.from_degrees(90.0, RADIUS)
+        listed = {}
+        for x_cap in (5.0, 3.0, 2.0):
+            f_max = x_cap * SPEED_OF_LIGHT / (2.0 * math.pi * RADIUS)
+            got = enumerate_spectrum(config, f_max)
+            assert got == walk_without_plan(config, f_max, ("TM", "TE"))
+            listed[x_cap] = sorted(r.x for r in got)
+        assert len(modes._PLANS) == 1
+        assert listed == {5.0: [1.5, 2.5, 2.8, 4.0], 3.0: [1.5, 2.5], 2.0: []}
+
+    def test_a_plan_serves_any_radius_at_or_below_its_cap(self, monkeypatch):
+        # the plan holds no radius, and serving it evaluates nothing and
+        # requests no tower
+        fresh_memos(monkeypatch)
+        wide = enumerate_spectrum(WedgeConfig.from_degrees(73.0, 0.03), 30e9)
+        requests = [(WedgeConfig.from_degrees(73.0, radius), f_max)
+                    for radius, f_max in ((0.03, 30e9), (0.01, 80e9), (0.045, 13e9))]
+        want = [walk_without_plan(config, f_max, ("TM", "TE")) for config, f_max in requests]
+
+        def refuse(*args):
+            raise AssertionError("a served request scanned a tower")
+
+        monkeypatch.setattr(modes, "_tower_roots", refuse)
+        assert [enumerate_spectrum(config, f_max) for config, f_max in requests] == want
+        assert want[0] == wide and 0 < len(want[2]) < len(want[1]) < len(wide)
+        assert list(modes._PLANS) == [(math.radians(73.0), frozenset(("TM", "TE")))]
+
+    def test_memo_keeps_the_most_recent_plans(self, monkeypatch):
+        fresh_memos(monkeypatch)
+        openings = [10.0 * (i + 1) for i in range(modes._PLANS_MAX + 2)]
+        for deg in openings:
+            enumerate_spectrum(WedgeConfig.from_degrees(deg, RADIUS), 9e9)
+        keys = [(math.radians(deg), frozenset(("TM", "TE"))) for deg in openings]
+        assert list(modes._PLANS) == keys[2:]
+        # a served request moves its plan to the young end; a wider cap
+        # rebuilds it in place of the old one
+        enumerate_spectrum(WedgeConfig.from_degrees(openings[2], 0.01), 9e9)
+        assert list(modes._PLANS)[-1] == keys[2]
+        enumerate_spectrum(WedgeConfig.from_degrees(openings[3], RADIUS), 12e9)
+        assert list(modes._PLANS)[-1] == keys[3]
+        assert len(modes._PLANS) == modes._PLANS_MAX
+        assert modes._PLANS[keys[3]][0] == 2.0 * math.pi * RADIUS * 12e9 / SPEED_OF_LIGHT
+
+    def test_threads_sharing_plans_get_the_records_of_a_walk_without_plan(self, monkeypatch):
+        requests = plan_requests(19, 3)
+        fresh_memos(monkeypatch)
+        want = [walk_without_plan(WedgeConfig.from_degrees(deg, radius), f_max, pols)
+                for deg, radius, f_max, pols in requests]
+        fresh_memos(monkeypatch)
+        got = {}
+
+        def serve(order):
+            got[order] = {i: enumerate_spectrum(WedgeConfig.from_degrees(*requests[i][:2]),
+                                                *requests[i][2:])
+                          for i in (range(len(requests)) if order > 0
+                                    else reversed(range(len(requests))))}
+
+        threads = [threading.Thread(target=serve, args=(order,)) for order in (1, -1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for order in (1, -1):
+            assert [got[order][i] for i in range(len(requests))] == want

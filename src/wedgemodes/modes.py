@@ -335,8 +335,8 @@ def null_field_check(nu: float, m: float) -> bool:
 #: Wedge plans keyed by (wedge_angle, polarisations), oldest use first as in
 #: ``_TOWERS``.  A plan is the radius-free walk of :func:`enumerate_spectrum`
 #: at the widest x cap asked for its key so far, ``(x_cap, walks)``; a
-#: request with a wider cap replaces it.  Every opening of a random sweep
-#: builds its own, so a few plans are kept.
+#: request with a wider cap replaces it.  Openings drawn at random never
+#: share a plan, so only a few are kept.
 _PLANS: dict[tuple[float, frozenset[str]], tuple[float, list]] = {}
 _PLANS_MAX = 8
 _PLANS_LOCK = threading.Lock()
@@ -405,9 +405,10 @@ def enumerate_spectrum(
     (wedge_angle, polarisations) at the widest cap asked (see ``_PLANS``),
     and each call replays the walk's stopping rules over the plan at its
     own cap.  A tower's roots at or below a cap are the prefix of its roots
-    at or below a wider one, and its first root lies above its Pruefer
-    bound (:func:`_tower_roots`), so the replay stops where a walk at that
-    cap stops and yields the records it yields, above x = 34 too.
+    at or below a wider one, and its first root lies above the Pruefer
+    bound below which :func:`_tower_roots` answers without scanning, so
+    the replay stops where a walk at that cap stops and yields the records
+    it yields, above x = 34 too.
     """
     if not math.isfinite(f_max_hz):
         raise ValueError("f_max_hz must be finite")

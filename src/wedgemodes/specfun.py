@@ -41,6 +41,10 @@ __all__ = [
 BESSEL_X_MAX = 40.0
 # the least positive normal float: a product below it lost digits to underflow
 _FLOAT_MIN = sys.float_info.min
+# below this x the factor sqrt(pi/2) / sqrt(x) exceeds 1, so it can lift an
+# underflowed J; every TE and TM root lies above it, so no root float
+# depends on the refolded sum, whatever a sum that cancels to 0.0 returns
+_FOLD_X_MAX = 0.5 * math.pi
 
 _SERIES_MAX_TERMS = 200
 _SERIES_REL_TOL = 1e-15
@@ -133,8 +137,8 @@ def _bessel_series(order: float, x: float, log_scale: float) -> float:
 
 def _scaled_bessel(order: float, x: float) -> float:
     """sqrt(pi/2) / sqrt(x) * J_order(x) with the factor in the series'
-    leading term: used only where the plain product is 0 or subnormal,
-    because J underflowed before the factor multiplied it."""
+    leading term: used only where the plain product is 0 or subnormal
+    below x = pi/2, because J underflowed before the factor multiplied it."""
     return _bessel_series(order, x, 0.5 * (math.log(0.5 * math.pi) - math.log(x)))
 
 
@@ -143,7 +147,7 @@ def spherical_j(nu: float, x: float) -> float:
     j = bessel_j(nu + 0.5, x)  # refuses x outside (0, 40] before 1/x is formed
     # sqrt(pi/2) / sqrt(x) stays finite at subnormal x, where pi/(2x) overflows
     value = math.sqrt(0.5 * math.pi) / math.sqrt(x) * j
-    if abs(value) < _FLOAT_MIN:
+    if abs(value) < _FLOAT_MIN and x < _FOLD_X_MAX:
         return _scaled_bessel(nu + 0.5, x)
     return value
 
@@ -164,7 +168,7 @@ def riccati_derivative(nu: float, x: float) -> float:
     j_lo = bessel_j(nu + 0.5, x)  # refuses x outside (0, 40] before 1/x is formed
     j_hi = bessel_j(nu + 1.5, x)
     value = math.sqrt(0.5 * math.pi) / math.sqrt(x) * ((nu + 1.0) * j_lo - x * j_hi)
-    if abs(value) < _FLOAT_MIN:
+    if abs(value) < _FLOAT_MIN and x < _FOLD_X_MAX:
         return (nu + 1.0) * _scaled_bessel(nu + 0.5, x) - x * _scaled_bessel(nu + 1.5, x)
     return value
 

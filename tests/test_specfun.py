@@ -201,6 +201,18 @@ def test_subnormal_argument_against_high_precision_reference(nu, x):
         float(factor * ((n + 1) * j_lo - t * j_hi)), rel=1e-12, abs=1e-322)
 
 
+def test_a_zero_sum_is_refolded_only_below_half_pi(monkeypatch):
+    # every TE and TM root lies above x = pi/2, so a sum that comes out 0.0
+    # there, as near a root, is returned as it is and no root bracket
+    # depends on the refolded sum; below it a 0.0 is an underflow
+    below = spherical_j(1.0, 1.5), riccati_derivative(1.0, 1.5)
+    monkeypatch.setattr(specfun, "bessel_j", lambda order, x: 0.0)
+    assert spherical_j(1.0, 1.6) == 0.0
+    assert riccati_derivative(1.0, 1.6) == 0.0
+    assert (spherical_j(1.0, 1.5), riccati_derivative(1.0, 1.5)) == pytest.approx(
+        below, rel=1e-14)
+
+
 # x and theta are refused by the series that own them, bessel_j and
 # legendre_theta, before any caller divides by x or sin(theta)
 _REFUSING_CALLS = {

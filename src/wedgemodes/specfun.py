@@ -147,7 +147,7 @@ def spherical_j(nu: float, x: float) -> float:
     j = bessel_j(nu + 0.5, x)  # refuses x outside (0, 40] before 1/x is formed
     # sqrt(pi/2) / sqrt(x) stays finite at subnormal x, where pi/(2x) overflows
     value = math.sqrt(0.5 * math.pi) / math.sqrt(x) * j
-    if abs(value) < _FLOAT_MIN and x < _FOLD_X_MAX:
+    if x < _FOLD_X_MAX and abs(value) < _FLOAT_MIN:
         return _scaled_bessel(nu + 0.5, x)
     return value
 
@@ -168,7 +168,7 @@ def riccati_derivative(nu: float, x: float) -> float:
     j_lo = bessel_j(nu + 0.5, x)  # refuses x outside (0, 40] before 1/x is formed
     j_hi = bessel_j(nu + 1.5, x)
     value = math.sqrt(0.5 * math.pi) / math.sqrt(x) * ((nu + 1.0) * j_lo - x * j_hi)
-    if abs(value) < _FLOAT_MIN and x < _FOLD_X_MAX:
+    if x < _FOLD_X_MAX and abs(value) < _FLOAT_MIN:
         return (nu + 1.0) * _scaled_bessel(nu + 0.5, x) - x * _scaled_bessel(nu + 1.5, x)
     return value
 

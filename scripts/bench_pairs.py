@@ -20,9 +20,11 @@ The output holds, per workload and end-to-end metric, each side's values,
 median and quartiles, the pairs each side won (ties count for neither) and
 a verdict (see :func:`verdict`), each side's median number of operations
 attempted, against which a change of ``peak_rss_mb`` can be read (the
-benchmark keeps every operation's output until its run ends), and the
-failed and attempted operations of every run.  Progress and a table of the
-verdicts and attempted operations go to stderr.
+benchmark keeps every operation's output until its run ends), each side's
+failed share (failed over attempted operations, summed over its runs) and
+the failed and attempted operations of every run.  Progress and a table of
+the verdicts, attempted operations and failed shares go to stderr; a head
+whose failed share is larger than the base's is marked ``worse``.
 """
 from __future__ import annotations
 
@@ -129,14 +131,19 @@ def compare(base: list[dict], head: list[dict], end_to_end: list[dict]) -> dict:
         }
     sides = (("base", base), ("head", head))
     attempted = {side: statistics.median(r["attempted"] for r in rs) for side, rs in sides}
+    failed_share = {side: sum(r["failed"] for r in rs) / sum(r["attempted"] for r in rs)
+                    for side, rs in sides}
     runs = {side: [{k: r[k] for k in ("correct", "attempted", "failed")} for r in rs]
             for side, rs in sides}
-    return {"metrics": metrics, "attempted": attempted, "runs": runs}
+    return {"metrics": metrics, "attempted": attempted, "failed_share": failed_share,
+            "runs": runs}
 
 
 def table(workloads: dict) -> list[str]:
     """Lines of the stderr table: per workload, each metric's medians, change,
-    head wins and verdict, then the median operations attempted."""
+    head wins and verdict, then the median operations attempted and the
+    failed shares, marked ``worse`` if the head's is larger.  A change from
+    a zero base reads ``n/a``."""
     lines = [f"{'workload':<14} {'metric':<14} {'base':>10} {'head':>10} {'change':>8} "
              f"{'wins':>5}  verdict"]
     for workload, entry in workloads.items():
@@ -144,9 +151,11 @@ def table(workloads: dict) -> list[str]:
                  f" {m['head_wins']:>2}/{PAIRS:<2}  {m['verdict']}")
                 for name, m in entry["metrics"].items()]
         rows.append(("attempted", entry["attempted"]["base"], entry["attempted"]["head"], ""))
+        b, h = entry["failed_share"]["base"], entry["failed_share"]["head"]
+        rows.append(("failed share", b, h, f"{'':6}  worse" if h > b else ""))
         for name, b, h, tail in rows:
-            lines.append(f"{workload:<14} {name:<14} {b:>10.4g} {h:>10.4g} "
-                         f"{(h - b) / b:>+8.1%}{tail}")
+            change = f"{(h - b) / b:>+8.1%}" if b else f"{'n/a':>8}"
+            lines.append(f"{workload:<14} {name:<14} {b:>10.4g} {h:>10.4g} {change}{tail}")
     return lines
 
 

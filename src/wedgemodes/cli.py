@@ -6,7 +6,8 @@ Five subcommands expose the library surface:
   them as CSV or JSON.
 * ``validate`` — compare computed spectra against the embedded reference
   tables; per-wedge summaries go to stdout, per-row detail to stderr, and
-  the exit code is 1 as soon as any tabulated theory value is missed.
+  the exit code is 1 as soon as any tabulated theory value is missed or
+  the embedded table fails its checksum.
 * ``ladder-check`` — certify the highest-weight annihilation and the
   Casimir eigenvalue of a ladder-built profile on a chosen grid.
 * ``oracle`` — run the finite-difference eigensolver for one azimuthal
@@ -49,6 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spectrum.add_argument("--fmax-ghz", type=float, required=True, help="frequency cap, GHz")
     p_spectrum.add_argument("--pol", choices=("te", "tm", "both"), default="both")
     p_spectrum.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_spectrum.set_defaults(run=_cmd_spectrum)
 
     p_val = sub.add_parser("validate", help="compare against the embedded reference tables")
     group = p_val.add_mutually_exclusive_group()
@@ -56,16 +58,19 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all", action="store_true", help="validate every block (default)")
     p_val.add_argument("--tol-pct", type=float, default=0.2,
                        help="tolerance against tabulated theory values, percent")
+    p_val.set_defaults(run=_cmd_validate)
 
     p_lad = sub.add_parser("ladder-check", help="certify ladder-algebra identities")
     p_lad.add_argument("--m", type=float, default=2.0 / 3.0, help="azimuthal weight")
     p_lad.add_argument("--k", type=int, default=1, help="lowering steps for the tesseral check")
     p_lad.add_argument("--grid", type=int, default=4096, help="grid size")
+    p_lad.set_defaults(run=_cmd_ladder_check)
 
     p_orc = sub.add_parser("oracle", help="finite-difference eigensolver")
     p_orc.add_argument("--m", type=float, required=True, help="azimuthal weight")
     p_orc.add_argument("--grid", type=int, default=4000, help="grid size")
     p_orc.add_argument("--count", type=int, default=3, help="number of eigenvalues")
+    p_orc.set_defaults(run=_cmd_oracle)
 
     p_eval = sub.add_parser("eval", help="evaluate one special function")
     p_eval.add_argument("--fn", choices=("sph-j", "riccati-d", "legendre-theta", "ln-gamma"),
@@ -74,32 +79,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--m", type=float, help="azimuthal weight (legendre-theta)")
     p_eval.add_argument("--x", type=float, required=True,
                         help="argument (radians for legendre-theta)")
+    p_eval.set_defaults(run=_cmd_eval)
     return parser
 
 
-def _emit(data: bytes) -> None:
-    sys.stdout.buffer.write(data)
-    sys.stdout.buffer.flush()
-
-
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> tuple[bytes, int]:
     from . import modes, report
 
     config = modes.WedgeConfig.from_degrees(args.wedge_deg, args.radius_mm * 1e-3)
     pols = {"te": frozenset(("TE",)), "tm": frozenset(("TM",)),
             "both": frozenset(("TM", "TE"))}[args.pol]
     records = modes.enumerate_spectrum(config, args.fmax_ghz * 1e9, pols)
-    _emit(report.render(records, args.format))
-    return 0
+    return report.render(records, args.format), 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> tuple[bytes, int]:
     from . import report
 
+    try:
+        table = report.load_reference()
+    except report.ReferenceIntegrityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return b"", 1
     if args.wedge_deg is not None:
         wedges = [args.wedge_deg]
     else:
-        wedges = sorted({row.wedge_deg for row in report.load_reference()})
+        wedges = sorted({row.wedge_deg for row in table})
     tol = args.tol_pct / 100.0
     lines = ["wedge_deg,matched,total,mean_abs_dev_vs_hfss_pct,within_tol,status"]
     failed = False
@@ -130,11 +135,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                     f"({100.0 * row.dev_vs_theory:+.3f}% > {args.tol_pct:g}%)",
                     file=sys.stderr,
                 )
-    _emit(("\n".join(lines) + "\n").encode("utf-8"))
-    return 1 if failed else 0
+    return ("\n".join(lines) + "\n").encode("utf-8"), 1 if failed else 0
 
 
-def _cmd_ladder_check(args: argparse.Namespace) -> int:
+def _cmd_ladder_check(args: argparse.Namespace) -> tuple[bytes, int]:
     if args.m + args.k == 0.0:
         raise ValueError("ladder-check needs m + k > 0: the Casimir target (m+k)(m+k+1) is 0")
     # imported here so that the other commands start without numpy
@@ -166,20 +170,18 @@ def _cmd_ladder_check(args: argparse.Namespace) -> int:
             f"{name},{args.m:.6f},{k_cell},{args.grid},{value:.3e},{bound:.1e},"
             f"{'pass' if ok else 'fail'}"
         )
-    _emit(("\n".join(lines) + "\n").encode("utf-8"))
-    return 1 if failed else 0
+    return ("\n".join(lines) + "\n").encode("utf-8"), 1 if failed else 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> tuple[bytes, int]:
     result = legendre_spectrum_fd(args.m, args.grid, args.count)
     lines = ["index,lambda,nu"]
     for i, (lam, nu) in enumerate(zip(result.lambdas, result.nus)):
         lines.append(f"{i},{lam:.6f},{nu:.6f}")
-    _emit(("\n".join(lines) + "\n").encode("utf-8"))
-    return 0
+    return ("\n".join(lines) + "\n").encode("utf-8"), 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> tuple[bytes, int]:
     # the flags each function takes besides --x: required, and the others refused
     takes = {"sph-j": ("nu",), "riccati-d": ("nu",), "legendre-theta": ("nu", "m"),
              "ln-gamma": ()}[args.fn]
@@ -195,39 +197,19 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         value = legendre_theta(args.nu, args.m, args.x)
     else:
         value = ln_gamma(args.x)
-    _emit(f"{value:.12g}\n".encode("utf-8"))
-    return 0
+    return f"{value:.12g}\n".encode("utf-8"), 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "spectrum": _cmd_spectrum,
-        "validate": _cmd_validate,
-        "ladder-check": _cmd_ladder_check,
-        "oracle": _cmd_oracle,
-        "eval": _cmd_eval,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        out, code = args.run(args)
     except (ValueError, ConvergenceError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LookupError, RuntimeError) as exc:
-        # a module raises its own exceptions only once loaded, so the two
-        # classes are looked up among the loaded modules alone
-        loaded = sys.modules
-        if "wedgemodes.modes" in loaded and isinstance(
-                exc, loaded["wedgemodes.modes"].RootNotFoundError):
-            code = 2
-        elif "wedgemodes.report" in loaded and isinstance(
-                exc, loaded["wedgemodes.report"].ReferenceIntegrityError):
-            code = 1
-        else:
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return code
+    sys.stdout.buffer.write(out)
+    sys.stdout.buffer.flush()
+    return code
 
 
 if __name__ == "__main__":

@@ -42,8 +42,9 @@ BESSEL_X_MAX = 40.0
 # the least positive normal float: a product below it lost digits to underflow
 _FLOAT_MIN = sys.float_info.min
 # below this x the factor sqrt(pi/2) / sqrt(x) exceeds 1, so it can lift an
-# underflowed J; every TE and TM root lies above it, so no root float
-# depends on the refolded sum, whatever a sum that cancels to 0.0 returns
+# underflowed J.  A root may lie below it (tm_root(0.0, 1) is 3.8e-13 under
+# pi/2), but the refold replaces only 0 or subnormal values, which no root
+# bracket evaluates, so no root float depends on it
 _FOLD_X_MAX = 0.5 * math.pi
 
 _SERIES_MAX_TERMS = 200
@@ -103,15 +104,15 @@ def bessel_j(order: float, x: float) -> float:
     """J_order(x) by the ascending power series, summed term by term.
 
     J_a(x) = sum_k (-1)^k (x/2)^(2k+a) / (k! Gamma(k+a+1)), valid for any
-    real order > -1; callers use order >= 0.  Terms are generated by the
+    finite order > -1; callers use order >= 0.  Terms are generated by the
     two-step recurrence t_{k} = -t_{k-1} * (x/2)^2 / (k (k+a)) and added
     in order until |term| <= 1e-15 * |sum|, which also stops a sum that
     has underflowed to zero (|J| below about 5e-324).
     """
     if not 0.0 < x <= BESSEL_X_MAX:
         raise ValueError(f"bessel_j domain is 0 < x <= {BESSEL_X_MAX}, got x={x}")
-    if not order > -1.0:
-        raise ValueError(f"bessel_j requires order > -1, got {order}")
+    if not -1.0 < order < math.inf:
+        raise ValueError(f"bessel_j requires finite order > -1, got {order}")
     return _bessel_series(order, x, 0.0)
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for the verdict rule of ``scripts/bench_pairs.py``."""
+"""Unit tests for the verdict rule and tables of ``scripts/bench_pairs.py``."""
 
 from __future__ import annotations
 
@@ -79,8 +79,8 @@ def test_wide_spread_is_resolved_when_every_head_run_beats_every_base_run():
     assert verdict(base, head, "lower", 0.25) == "unresolved"
 
 
-def _run(op_p50_s, attempted):
-    return {"correct": True, "attempted": attempted, "failed": 0,
+def _run(op_p50_s, attempted, failed=0):
+    return {"correct": True, "attempted": attempted, "failed": failed,
             "metrics": {"op_p50_s": {"value": op_p50_s, "unit": "s"}}}
 
 
@@ -102,9 +102,34 @@ def test_table_lists_attempted_operations_after_the_metrics():
     base = [_run(v, 200) for v in BASE]
     head = [_run(0.8 * v, 250) for v in BASE]
     entry = bench_pairs.compare(base, head, _SPEC)
-    header, metric, attempted = bench_pairs.table({"radius-sweep": entry})
+    header, metric, attempted, _ = bench_pairs.table({"radius-sweep": entry})
     assert header.split() == ["workload", "metric", "base", "head", "change", "wins",
                               "verdict"]
     assert metric.split() == ["radius-sweep", "op_p50_s", "100", "80", "-20.0%", "10/10",
                               "gain"]
     assert attempted.split() == ["radius-sweep", "attempted", "200", "250", "+25.0%"]
+
+
+def test_compare_reports_each_sides_failed_share_over_all_runs():
+    # the share is summed failures over summed attempts, not a median of
+    # per-run shares: 5 of 1000 and 30 of 1500
+    base = [_run(v, 100, 1 if i < 5 else 0) for i, v in enumerate(BASE)]
+    head = [_run(v, 150, 3) for v in BASE]
+    entry = bench_pairs.compare(base, head, _SPEC)
+    assert entry["failed_share"] == {"base": 0.005, "head": 0.02}
+
+
+@pytest.mark.parametrize("base_failed, head_failed, cells", [
+    (10, 20, ["0.01", "0.02", "+100.0%", "worse"]),
+    (20, 10, ["0.02", "0.01", "-50.0%"]),
+    (10, 10, ["0.01", "0.01", "+0.0%"]),
+    (0, 10, ["0", "0.01", "n/a", "worse"]),
+    (0, 0, ["0", "0", "n/a"]),
+], ids=["worse", "better", "equal", "worse-from-zero", "zero"])
+def test_table_marks_a_larger_head_failed_share_worse(base_failed, head_failed, cells):
+    # ten runs of 100 operations a side, the failures all in the first run
+    base = [_run(v, 100, base_failed if i == 0 else 0) for i, v in enumerate(BASE)]
+    head = [_run(v, 100, head_failed if i == 0 else 0) for i, v in enumerate(BASE)]
+    entry = bench_pairs.compare(base, head, _SPEC)
+    row = bench_pairs.table({"certify": entry})[-1]
+    assert row.split() == ["certify", "failed", "share", *cells]

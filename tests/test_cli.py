@@ -170,6 +170,13 @@ class TestEval:
             assert proc.stdout == ""
             assert proc.stderr.startswith("error:")
 
+    def test_non_finite_order_is_refused_by_the_series(self):
+        # once refused by ln_gamma, a function and argument the caller never named
+        proc = run_cli("eval", "--fn", "sph-j", "--nu", "inf", "--x", "2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: bessel_j requires finite order > -1, got inf\n"
+
     def test_angular_profile_refuses_cancelled_series(self):
         proc = run_cli("eval", "--fn", "legendre-theta", "--nu", "50.3", "--m", "0.5",
                        "--x", "2.0")
@@ -228,6 +235,21 @@ class TestValidate:
         out, err = capsys.readouterr()
         assert out == f"{VALIDATE_HEADER}\n27,6,7,0.4553,6,fail\n"
         assert err == "wedge 27 mode 7: no computed mode matches (TM, m=0.123456, k=0)\n"
+
+    @pytest.mark.parametrize("argv", [["validate", "--wedge-deg", "27"], ["validate", "--all"]])
+    def test_tampered_table_fails_with_one_error_line(self, monkeypatch, capsys, argv):
+        from wedgemodes import cli, report
+
+        monkeypatch.setattr(report, "_REFERENCE_SHA256", "0" * 64)
+        report._reference_rows.cache_clear()
+        try:
+            assert cli.main(argv) == 1
+        finally:
+            report._reference_rows.cache_clear()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: reference data checksum mismatch: ")
+        assert err.count("\n") == 1 and err.endswith(" != " + "0" * 64 + "\n")
 
     @pytest.mark.parametrize("tol_pct", ["nan", "-1"])
     def test_rejects_unusable_tolerance(self, tol_pct):

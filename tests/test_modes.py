@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from wedgemodes import modes
+from wedgemodes import modes, specfun
 from wedgemodes.modes import (
     SPEED_OF_LIGHT,
     ModeId,
@@ -509,6 +509,24 @@ class TestRoots:
             else:
                 residual = riccati_derivative(rec.id.nu, rec.x)
             assert abs(residual) < 1e-9
+
+    def test_no_root_bracket_reaches_the_refold(self, monkeypatch):
+        # a root may lie just below pi/2 (the first TM root of degree 0 is
+        # 3.8e-13 under it), but the refold of an underflowed j_nu or
+        # (x j_nu)' serves only 0 or subnormal values, which no bracket
+        # evaluates; so no root float depends on the refold
+        assert tm_root(0.0, 1) < 0.5 * math.pi
+
+        def refuse(order, x):
+            raise AssertionError(f"refold reached at order {order}, x = {x}")
+
+        monkeypatch.setattr(specfun, "_scaled_bessel", refuse)
+        fresh_memos(monkeypatch)
+        for nu in (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0):
+            for pol in ("TE", "TM"):
+                assert modes._tower_roots(pol, nu, math.inf, 40.0)
+        for wedge_deg in (0.0, 27.0, 90.0, 180.0, 300.0):
+            assert enumerate_spectrum(WedgeConfig.from_degrees(wedge_deg, 0.03), 20e9)
 
 
 class TestFrequency:

@@ -101,7 +101,7 @@ class TestBesselJ:
             bessel_j(0.5, x)
 
     def test_rejects_order_at_or_below_minus_one(self):
-        for order in (-1.0, math.nan):
+        for order in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="order > -1"):
                 bessel_j(order, 1.0)
 
@@ -202,9 +202,9 @@ def test_subnormal_argument_against_high_precision_reference(nu, x):
 
 
 def test_a_zero_sum_is_refolded_only_below_half_pi(monkeypatch):
-    # every TE and TM root lies above x = pi/2, so a sum that comes out 0.0
-    # there, as near a root, is returned as it is and no root bracket
-    # depends on the refolded sum; below it a 0.0 is an underflow
+    # at and above x = pi/2 a sum that comes out 0.0, as next to a root, is
+    # returned as it is; below it a 0.0 is an underflow and is refolded
+    # (test_modes checks that no root bracket evaluates such a value)
     below = spherical_j(1.0, 1.5), riccati_derivative(1.0, 1.5)
     monkeypatch.setattr(specfun, "bessel_j", lambda order, x: 0.0)
     assert spherical_j(1.0, 1.6) == 0.0

@@ -241,11 +241,8 @@ class TestValidate:
         from wedgemodes import cli, report
 
         monkeypatch.setattr(report, "_REFERENCE_SHA256", "0" * 64)
-        report._reference_rows.cache_clear()
-        try:
-            assert cli.main(argv) == 1
-        finally:
-            report._reference_rows.cache_clear()
+        report._reference_rows.cache_clear()  # a failed read is not cached
+        assert cli.main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: reference data checksum mismatch: ")

@@ -25,6 +25,10 @@ failed share (failed over attempted operations, summed over its runs) and
 the failed and attempted operations of every run.  Progress and a table of
 the verdicts, attempted operations and failed shares go to stderr; a head
 whose failed share is larger than the base's is marked ``worse``.
+
+SIGTERM and SIGINT end the script with status 128 + the signal number,
+after the running ``run.py`` child is killed and the exported trees are
+removed.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -159,6 +164,12 @@ def table(workloads: dict) -> list[str]:
     return lines
 
 
+def _exit_on_signal(signum, frame):
+    # raised in the main thread: subprocess.run kills its child on the way
+    # out and source_tree's finally removes the exported trees
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="git ref of the parent")
@@ -168,6 +179,8 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(sig, _exit_on_signal)
 
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     seconds = float(spec["run_seconds"])

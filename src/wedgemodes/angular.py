@@ -204,10 +204,12 @@ def apply_casimir(f: AngularFunction) -> AngularFunction:
     of weight ``m`` and degree ``nu`` return ``nu (nu + 1)`` times
     themselves, up to discretization error.
     """
+    if math.isinf(f.m * f.m):
+        raise ValueError(f"weight m = {f.m:g} is too large: m**2 overflows")
     h = _uniform_spacing(f.theta_grid)
     sin_t = np.sin(f.theta_grid)
     flux = sin_t * _derivative(f.values, h)
-    out = -_derivative(flux, h) / sin_t + (f.m**2 / sin_t**2) * f.values
+    out = -_derivative(flux, h) / sin_t + (f.m * f.m / sin_t**2) * f.values
     return AngularFunction(m=f.m, theta_grid=f.theta_grid, values=out)
 
 

@@ -32,7 +32,6 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .specfun import BESSEL_X_MAX, _check_index, riccati_derivative, spherical_j
 from .specfun import legendre_theta
@@ -180,24 +179,14 @@ def _bisect(func, nu: float, lo: float, f_lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-class _Tower:
-    """Resumable scan of one (polarisation, nu) root tower: the roots found
-    so far, ascending, and the ``_GRID`` index where the scan stopped."""
-
-    __slots__ = ("roots", "index")
-
-    def __init__(self, index: int) -> None:
-        self.roots: list[float] = []
-        self.index = index
-
-
-#: The towers scanned most recently, keyed by (polarisation, nu), oldest
-#: use first: a request re-inserts its tower, and past ``_TOWERS_MAX``
-#: entries the oldest is dropped; a dropped tower is rescanned from the
-#: same start, to the same floats.  One ``enumerate_spectrum`` at x_cap 11
-#: touches a few hundred towers.  The lock keeps two threads resuming one
-#: tower from appending the same root twice.
-_TOWERS: dict[tuple[str, float], _Tower] = {}
+#: The towers scanned most recently, (roots found so far, ``_GRID`` index
+#: where the scan stopped) keyed by (polarisation, nu), oldest use first.
+#: A request takes its tower out and writes it back when its scan ends, so
+#: a scan that raises leaves no partial tower; past ``_TOWERS_MAX`` entries
+#: the oldest is dropped, to be rescanned from the same start to the same
+#: floats.  One ``enumerate_spectrum`` at x_cap 11 touches a few hundred
+#: towers.  The lock keeps two threads from resuming one tower at once.
+_TOWERS: dict[tuple[str, float], tuple[list[float], int]] = {}
 _TOWERS_MAX = 2048
 _TOWERS_LOCK = threading.Lock()
 
@@ -253,13 +242,10 @@ def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]
     func = spherical_j if pol == "TE" else riccati_derivative
     key = (pol, nu)
     with _TOWERS_LOCK:
-        tower = _TOWERS.pop(key, None)
-        if tower is None:
-            tower = _Tower(max(bisect_right(_GRID, lowest) - 1, 0))
-            if len(_TOWERS) >= _TOWERS_MAX:
-                del _TOWERS[next(iter(_TOWERS))]
-        _TOWERS[key] = tower
-        roots, i, f_i = tower.roots, tower.index, None
+        roots, i = _TOWERS.pop(key, None) or ([], max(bisect_right(_GRID, lowest) - 1, 0))
+        if len(_TOWERS) >= _TOWERS_MAX:
+            del _TOWERS[next(iter(_TOWERS))]
+        f_i = None
         while len(roots) < count and _GRID[i] <= x_cap and i + 1 < len(_GRID):
             if f_i is None:
                 f_i = func(nu, _GRID[i])
@@ -281,7 +267,7 @@ def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]
             root = _bisect(func, nu, _GRID[lo], f_lo, _GRID[hi])
             roots.append(root)
             i, f_i = bisect_right(_GRID, root + math.pi - _SCAN_STEP) - 1, None
-        tower.index = i
+        _TOWERS[key] = roots, i
         return roots[:min(count, bisect_right(roots, x_cap))]
 
 
@@ -334,27 +320,30 @@ def null_field_check(nu: float, m: float) -> bool:
 
 #: Wedge plans keyed by (wedge_angle, polarisations), oldest use first as in
 #: ``_TOWERS``.  A plan is the radius-free walk of :func:`enumerate_spectrum`
-#: at the widest x cap asked for its key so far, ``(x_cap, walks)``; a
-#: request with a wider cap replaces it.  Openings drawn at random never
-#: share a plan, so only a few are kept.
-_PLANS: dict[tuple[float, frozenset[str]], tuple[float, list]] = {}
+#: at the widest x cap asked for its key so far, ``(x_cap, gates, entries)``
+#: as :func:`_walk` returns it; a request with a wider cap replaces it.
+#: Openings drawn at random never share a plan, so only a few are kept.
+_PLANS: dict[tuple[float, frozenset[str]], tuple[float, list, list]] = {}
 _PLANS_MAX = 8
 _PLANS_LOCK = threading.Lock()
 
 
-def _walk(config: WedgeConfig, polarisations: frozenset[str], x_cap: float) -> list:
-    """The walk over (polarisation, n, k) at ``x_cap``: for TM, then TE, the
-    harmonics in order of n, each the list of its towers in order of k, a
-    tower being its roots at or below ``x_cap`` and their ``ModeId``s (none
-    for the null-field tower).  A walk over n ends at the first harmonic
-    whose k = 0 tower is empty, a walk over k at the first empty tower."""
-    walks = []
+def _walk(config: WedgeConfig, polarisations: frozenset[str], x_cap: float) -> tuple:
+    """The walk over (polarisation, n, k) at ``x_cap`` as the plan ``(x_cap,
+    gates, entries)``: TM, then TE, n and then k ascending, a walk over n
+    ending at the first harmonic whose k = 0 tower is empty, a walk over k
+    at the first empty tower.  ``entries`` are its modes as ``(walk index,
+    ModeId, x)``, sorted stably by gate: the largest of x and the first
+    roots of the towers passed to reach the mode, the k = 0 towers of
+    earlier harmonics (the null-field TE tower too) and the towers k' <= k
+    of its own.  A walk at any cap lists the modes gated at or below it."""
+    walk = []
     for pol in ("TM", "TE"):
         if pol not in polarisations:
             continue
-        harmonics = []
         n = 1 if pol == "TM" else 0
         weights: list[float] = []
+        reach = 0.0  # the gate of the latest k = 0 tower
         while True:
             m = azimuthal_index(n, config)
             # a weight an integer J above an earlier one (to rounding)
@@ -366,19 +355,20 @@ def _walk(config: WedgeConfig, polarisations: frozenset[str], x_cap: float) -> l
                     base, shift = w, j
                     break
             weights.append(m)
-            towers = []
-            while xs := _tower_roots(pol, base + (len(towers) + shift), math.inf, x_cap):
-                k = len(towers)
-                ids = () if pol == "TE" and null_field_check(m + k, m) else tuple(
-                    ModeId(polarisation=pol, n=n, k=k, s=s, m=m)
-                    for s in range(1, len(xs) + 1))
-                towers.append((xs, ids))
-            if not towers:
+            k, gate = 0, reach
+            while xs := _tower_roots(pol, base + (k + shift), math.inf, x_cap):
+                gate = max(gate, xs[0])
+                if k == 0:
+                    reach = gate
+                if not (pol == "TE" and null_field_check(m + k, m)):
+                    walk += [(max(gate, x), ModeId(pol, n, k, s, m), x)
+                             for s, x in enumerate(xs, 1)]
+                k += 1
+            if k == 0:
                 break
-            harmonics.append(towers)
             n += 1
-        walks.append(harmonics)
-    return walks
+    order = sorted(range(len(walk)), key=lambda i: walk[i][0])
+    return x_cap, [walk[i][0] for i in order], [(i, *walk[i][1:]) for i in order]
 
 
 def enumerate_spectrum(
@@ -402,13 +392,10 @@ def enumerate_spectrum(
     before TE, then n, k, s).  Repeated calls return identical lists.
 
     The walk depends on the opening alone, so it is kept as a plan per
-    (wedge_angle, polarisations) at the widest cap asked (see ``_PLANS``),
-    and each call replays the walk's stopping rules over the plan at its
-    own cap.  A tower's roots at or below a cap are the prefix of its roots
-    at or below a wider one, and its first root lies above the Pruefer
-    bound below which :func:`_tower_roots` answers without scanning, so
-    the replay stops where a walk at that cap stops and yields the records
-    it yields, above x = 34 too.
+    (wedge_angle, polarisations) at the widest cap asked (see ``_PLANS``).
+    A call lists the plan's modes whose gate (see :func:`_walk`) is at or
+    below its own cap, which are the modes a walk at that cap lists, even
+    where first roots do not rise with ``nu``, as above x = 34.
     """
     if not math.isfinite(f_max_hz):
         raise ValueError("f_max_hz must be finite")
@@ -425,26 +412,16 @@ def enumerate_spectrum(
     with _PLANS_LOCK:
         plan = _PLANS.pop(key, None)
         if plan is None or plan[0] < x_cap:
-            plan = (x_cap, _walk(config, key[1], x_cap))
+            plan = _walk(config, key[1], x_cap)
             if len(_PLANS) >= _PLANS_MAX:
                 del _PLANS[next(iter(_PLANS))]
         _PLANS[key] = plan
 
-    records: list[ModeRecord] = []
-    for harmonics in plan[1]:
-        for towers in harmonics:
-            if towers[0][0][0] > x_cap:
-                break
-            for xs, ids in towers:
-                count = bisect_right(xs, x_cap)
-                if not count:
-                    break
-                for mode, x in zip(ids, xs[:count]):
-                    records.append(ModeRecord(mode, x, frequency(x, config.radius_a)))
-    # the plan lists TM before TE, then n, k and s ascending, so a stable
-    # sort by frequency orders equal frequencies by that rule
-    records.sort(key=attrgetter("freq_hz"))
-    return records
+    _, gates, entries = plan
+    # ordered by frequency, then by walk index: TM before TE, then n, k, s
+    served = sorted((frequency(x, config.radius_a), i, mode, x)
+                    for i, mode, x in entries[:bisect_right(gates, x_cap)])
+    return [ModeRecord(mode, x, f) for f, _, mode, x in served]
 
 
 def te_field_shape(nu: float, m: float, x_arg: float, theta: float) -> tuple[float, float]:

@@ -186,6 +186,12 @@ class TestCasimir:
         out = apply_casimir(f)
         assert np.max(np.abs(out.values[mask])) < 1e-9
 
+    def test_refuses_a_weight_whose_square_overflows(self, grid):
+        # m**2 of a float raises OverflowError from m ~ 1.34e154 on
+        f = AngularFunction(m=1e200, theta_grid=grid, values=np.ones_like(grid))
+        with pytest.raises(ValueError, match="m\\*\\*2 overflows"):
+            apply_casimir(f)
+
     def test_tesseral_eigenvalue(self, grid):
         q = casimir_eigenvalue_estimate(build_tesseral(2.0 / 3.0, 1, grid))
         assert q == pytest.approx(40.0 / 9.0, rel=1e-5)

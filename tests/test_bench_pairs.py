@@ -1,8 +1,14 @@
-"""Unit tests for the verdict rule and tables of ``scripts/bench_pairs.py``."""
+"""Unit tests for the verdict rule, tables and signal handling of
+``scripts/bench_pairs.py``."""
 
 from __future__ import annotations
 
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -133,3 +139,52 @@ def test_table_marks_a_larger_head_failed_share_worse(base_failed, head_failed, 
     entry = bench_pairs.compare(base, head, _SPEC)
     row = bench_pairs.table({"certify": entry})[-1]
     assert row.split() == ["certify", "failed", "share", *cells]
+
+
+_HARNESS = """
+import importlib.util, sys
+from pathlib import Path
+spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+bench_pairs.REPO = Path(sys.argv[2])
+sys.executable = sys.argv[3]
+sys.exit(bench_pairs.main(["--base", "HEAD", "--head", "HEAD", "--workload", "certify",
+                           "--out", sys.argv[4]]))
+"""
+
+
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+def test_a_signal_kills_the_run_and_removes_the_exported_trees(tmp_path, sig):
+    # a one-commit repository whose run.py child is a sleep, signalled while
+    # the first run waits for it
+    repo, temp, pidfile = tmp_path / "repo", tmp_path / "tmp", tmp_path / "child.pid"
+    repo.mkdir()
+    temp.mkdir()
+    (repo / "BENCHMARK.json").write_text('{"run_seconds": 60, "end_to_end": []}')
+    git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@localhost"]
+    for args in (["init", "-q"], ["add", "BENCHMARK.json"], ["commit", "-q", "-m", "tree"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    fake_python = tmp_path / "python"
+    fake_python.write_text(f'#!/bin/sh\necho $$ > "{pidfile}"\nexec sleep 60\n')
+    fake_python.chmod(0o755)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _HARNESS, str(_PATH), str(repo), str(fake_python),
+         str(tmp_path / "out.json")],
+        env={**os.environ, "TMPDIR": str(temp)}, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not (pidfile.exists() and pidfile.read_text().endswith("\n")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        child = int(pidfile.read_text())
+        assert list(temp.glob("bench-pairs-*"))
+        proc.send_signal(sig)
+        assert proc.wait(timeout=30.0) == 128 + sig
+    finally:
+        proc.kill()
+        proc.wait()
+    assert list(temp.glob("bench-pairs-*")) == []
+    assert not (tmp_path / "out.json").exists()
+    with pytest.raises(ProcessLookupError):
+        os.kill(child, 0)

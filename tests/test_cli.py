@@ -309,6 +309,16 @@ class TestLadderCheck:
         assert proc.stderr.startswith("error:")
         assert proc.stdout == ""
 
+    def test_rejects_a_weight_whose_square_overflows(self):
+        # the Casimir term m**2 / sin**2 overflows for any float m from
+        # ~1.34e154 on: a refused input, not a failed certification
+        proc = run_cli("ladder-check", "--m", "2e154", "--k", "0")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
+            "error: weight m = 2e+154 is too large: m**2 overflows"]
+
 
 class TestOutOfMemory:
     # a grid too large to allocate makes numpy raise MemoryError, which is

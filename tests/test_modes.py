@@ -196,12 +196,12 @@ class TestRoots:
     def test_rejects_non_integral_radial_index(self):
         # refused before the memo is touched; integer calls are unaffected
         first = te_root(1.0, 1)
-        memo = {key: (list(t.roots), t.index) for key, t in modes._TOWERS.items()}
+        memo = {key: (list(roots), i) for key, (roots, i) in modes._TOWERS.items()}
         for root in (te_root, tm_root):
             for s in (1.5, 2.0, math.nan, math.inf, "2"):
                 with pytest.raises(ValueError, match="root index s must be an integer"):
                     root(1.0, s)
-        assert {key: (list(t.roots), t.index) for key, t in modes._TOWERS.items()} == memo
+        assert {key: (list(roots), i) for key, (roots, i) in modes._TOWERS.items()} == memo
         assert te_root(1.0, np.int64(1)) == first
 
     def test_first_roots_increase_with_degree(self):
@@ -346,7 +346,30 @@ class TestRoots:
         got.clear()
         assert [te_root(2.5, s) for s in (1, 2, 3)] == want == below[:3]
         assert modes._tower_roots("TE", 2.5, math.inf, 20.0) == below
-        assert modes._TOWERS[("TE", 2.5)].roots == below
+        assert modes._TOWERS[("TE", 2.5)][0] == below
+
+    def test_an_interrupted_scan_leaves_no_partial_tower(self, monkeypatch):
+        # a scan that raises puts its tower back neither with roots appended
+        # nor with a stale scan index, so the next request lists each root
+        # once, as a request to an empty memo does
+        fresh_memos(monkeypatch)
+        calls = 0
+
+        def interrupted(nu, x):
+            nonlocal calls
+            calls += 1
+            if calls == 60:
+                raise KeyboardInterrupt
+            return spherical_j(nu, x)
+
+        monkeypatch.setattr(modes, "spherical_j", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            modes._tower_roots("TE", 1.5, 10, 30.0)
+        monkeypatch.setattr(modes, "spherical_j", spherical_j)
+        got = modes._tower_roots("TE", 1.5, 10, 30.0)
+        fresh_memos(monkeypatch)
+        assert got == modes._tower_roots("TE", 1.5, 10, 30.0)
+        assert len(set(got)) == len(got) == 8
 
     @pytest.mark.parametrize("pol", ["TE", "TM"])
     def test_any_order_of_counts_and_caps_gives_the_same_floats(self, monkeypatch, pol):
@@ -499,7 +522,7 @@ class TestRoots:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(got[i] == want for i in range(8))
-        assert modes._TOWERS[("TE", nu)].roots == want
+        assert modes._TOWERS[("TE", nu)][0] == want
 
     def test_residuals_vanish_at_reported_roots(self):
         cfg = WedgeConfig.from_degrees(90.0, RADIUS)
@@ -849,6 +872,29 @@ class TestWedgePlans:
             listed[x_cap] = sorted(r.x for r in got)
         assert len(modes._PLANS) == 1
         assert listed == {5.0: [1.5, 2.5, 2.8, 4.0], 3.0: [1.5, 2.5], 2.0: []}
+
+    def test_equal_frequencies_from_distinct_roots_keep_the_walk_order(self, monkeypatch):
+        # TM nu = 2/3 and TE nu = 1 have distinct roots that give one
+        # frequency float at this radius; the TE mode has the lower gate and
+        # x, so a list ordered by gate or by x alone would put it first
+        fake = {("TM", 2.0 / 3.0): [math.nextafter(2.5, 3.0)], ("TE", 0.0): [1.0],
+                ("TE", 1.0): [2.5]}
+
+        def tower_roots(pol, nu, count, x_cap):
+            xs = next((v for (p, key), v in fake.items() if p == pol and abs(nu - key) < 1e-9),
+                      [])
+            return [x for i, x in enumerate(xs) if i < count and x <= x_cap]
+
+        fresh_memos(monkeypatch)
+        monkeypatch.setattr(modes, "_tower_roots", tower_roots)
+        radius = 0.01025
+        for x_cap in (5.0, 2.6):  # built at the first cap, served at the second
+            f_max = x_cap * SPEED_OF_LIGHT / (2.0 * math.pi * radius)
+            got = enumerate_spectrum(WedgeConfig.from_degrees(90.0, radius), f_max)
+            assert [(r.id.polarisation, r.id.n, r.id.k, r.id.s) for r in got] == [
+                ("TM", 1, 0, 1), ("TE", 0, 1, 1)]
+            assert got[0].freq_hz == got[1].freq_hz and got[0].x > got[1].x
+        assert len(modes._PLANS) == 1
 
     def test_a_plan_serves_any_radius_at_or_below_its_cap(self, monkeypatch):
         # the plan holds no radius, and serving it evaluates nothing and

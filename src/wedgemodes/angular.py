@@ -170,12 +170,16 @@ def sectoral(m: float, grid: np.ndarray) -> AngularFunction:
     """Highest-weight profile ``(sin theta)**m`` at weight ``m``.
 
     The raising operator annihilates this profile for every real
-    ``m >= 0``; at ``m = 0`` it degenerates to the constant 1.
+    ``m >= 0``; at ``m = 0`` it degenerates to the constant 1.  A weight
+    whose profile underflows to 0 at every grid point is refused.
     """
     if not 0.0 <= m < math.inf:
         raise ValueError("weight m must be finite and non-negative")
     grid = np.asarray(grid, dtype=float)
-    return AngularFunction(m=m, theta_grid=grid, values=np.sin(grid) ** m)
+    values = np.sin(grid) ** m
+    if not values.any():
+        raise ValueError(f"weight m = {m:g} is too large: (sin theta)**m is 0 at every grid point")
+    return AngularFunction(m=m, theta_grid=grid, values=values)
 
 
 def _ladder(f: AngularFunction, sign: float) -> AngularFunction:

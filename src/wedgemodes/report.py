@@ -17,20 +17,20 @@ rather than an exception.
 :func:`render` serializes spectra, comparisons, or reference rows to CSV or
 JSON, telling them apart by the type of the first item.  One column
 declaration per record kind (name, attribute, format, in output order)
-drives the CSV writer, the JSON writer and the reference parser.
+drives the reference parser and the row functions that render compiles
+from it once per process, one f-string per record kind and format.
 Frequencies carry six significant digits, and identical inputs produce
 byte-identical output.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
 from . import modes
@@ -120,34 +120,39 @@ class ComparisonRow:
         return self.matched and abs(self.dev_vs_theory) <= self.tol
 
 
-def _round6(value: float) -> float:
-    """Value rounded to six significant digits (for JSON payloads)."""
-    return float(f"{value:.6g}")
-
-
-def _same(value):
-    return value
-
-
 class _Format(NamedTuple):
-    # how a value becomes CSV text and a JSON value, and how CSV text parses
-    # back (reference columns only)
-    text: Callable
-    value: Callable
+    # how a value ``v`` becomes CSV text and JSON text, each as a field of
+    # the f-string of a generated row, and how CSV text parses back
+    # (reference columns only).  For the f-string grammar before Python
+    # 3.12, a format holds no backslash and quotes strings inside its fields
+    # with ' only, and a nullable one holds no " at all, so that the row's
+    # f'''...''' and a nullable cell's f"..." can hold it.
+    csv: str
+    json: str
     parse: Callable | None = None
 
 
-_TEXT = _Format(str, _same, str)
-_INT = _Format(str, _same, int)
-_FLOAT_G = _Format("{:g}".format, _same, float)
-_FIXED6 = _Format("{:.6f}".format, _round6, float)
-_SIG6 = _Format("{:#.6g}".format, _round6, float)  # six significant digits, zeros kept
-_GHZ_SIG6 = _Format(lambda hz: f"{hz / 1e9:#.6g}", lambda hz: _round6(hz / 1e9))
-_PCT4 = _Format(lambda dev: f"{100.0 * dev:.4f}", lambda dev: round(100.0 * dev, 4))
-_BOOL = _Format(lambda flag: "true" if flag else "false", _same)
+def _nullable(form: _Format) -> _Format:
+    """``form`` for a cell that may be ``None``: an empty CSV cell, a JSON null."""
+    return form._replace(csv=f'{{"" if v is None else f"{form.csv}"}}',
+                         json=f'{{"null" if v is None else f"{form.json}"}}')
+
+
+# JSON carries a rounded value as a float: six significant digits, or a
+# percentage to four decimals
+_TEXT = _Format("{v}", '"{v}"', str)
+_INT = _Format("{v}", "{v}", int)
+_FLOAT_G = _Format("{v:g}", "{v!r}", float)
+_FIXED6 = _Format("{v:.6f}", "{float(f'{v:.6g}')!r}", float)
+# six significant digits, zeros kept
+_SIG6 = _Format("{v:#.6g}", "{float(f'{v:.6g}')!r}", float)
+_GHZ_SIG6 = _Format("{v / 1e9:#.6g}", "{float(f'{v / 1e9:.6g}')!r}")
+_PCT4 = _Format("{100.0 * v:.4f}", "{round(100.0 * v, 4)!r}")
+_BOOL = _Format("{'true' if v else 'false'}", "{'true' if v else 'false'}")
 
 # One declaration per record kind: (column name, attribute path, format), in
-# output order.  A ``None`` value renders as an empty CSV cell or JSON null.
+# output order.  Text columns hold validated identifiers (TM/TE, family
+# names), which need no CSV quoting and no JSON escapes.
 _SPECTRUM_COLUMNS = (
     ("pol", "id.polarisation", _TEXT),
     ("n", "id.n", _INT),
@@ -175,15 +180,19 @@ _REFERENCE_COLUMNS = (
 _COMPARISON_COLUMNS = tuple(
     (name, "reference." + path, form) for name, path, form in _REFERENCE_COLUMNS
 ) + (
-    ("f_computed_ghz", "f_computed_ghz", _SIG6),
-    ("dev_vs_theory_pct", "dev_vs_theory", _PCT4),
-    ("dev_vs_hfss_pct", "dev_vs_hfss", _PCT4),
+    ("f_computed_ghz", "f_computed_ghz", _nullable(_SIG6)),
+    ("dev_vs_theory_pct", "dev_vs_theory", _nullable(_PCT4)),
+    ("dev_vs_hfss_pct", "dev_vs_hfss", _nullable(_PCT4)),
     ("matched", "matched", _BOOL),
 )
 
 
 def _parse_reference_csv(data: bytes) -> list[ReferenceRow]:
     """Parse reference rows from CSV bytes (schema of ``reference_tables.csv``)."""
+    # imported here, so that rendering and the commands without the table
+    # start without it
+    import csv
+
     reader = csv.DictReader(io.StringIO(data.decode("utf-8")))
     if reader.fieldnames != [name for name, _, _ in _REFERENCE_COLUMNS]:
         raise ReferenceIntegrityError("unexpected reference CSV header")
@@ -196,8 +205,7 @@ def _parse_reference_csv(data: bytes) -> list[ReferenceRow]:
 @functools.cache
 def _reference_rows() -> tuple[ReferenceRow, ...]:
     """The embedded rows, read, checksum-verified and parsed once per process."""
-    # imported here, like json in render, so that commands without the
-    # table start without them
+    # imported here, so that commands without the table start without them
     import hashlib
     from importlib import resources
 
@@ -272,6 +280,23 @@ def _validate_block(wedge_deg: float, tol: float = 0.002) -> tuple[list[Comparis
     return compare(modes.enumerate_spectrum(config, cap_hz), block, tol)
 
 
+@functools.cache
+def _row_function(columns: tuple, fmt: str) -> Callable[[object], str]:
+    """The row function of one column declaration in one format, compiled
+    on first use: one f-string of the columns' fields, with each field's
+    ``v`` replaced by the item's attribute path.  A CSV row ends in a
+    newline; a JSON row is one object."""
+    cells = [re.sub(r"\bv\b", "item." + path, getattr(form, fmt)) for _, path, form in columns]
+    if fmt == "csv":
+        body = ",".join(cells) + "\\n"
+    else:
+        pairs = (f'"{name}":{cell}' for (name, _, _), cell in zip(columns, cells))
+        body = "{{" + ",".join(pairs) + "}}"
+    namespace: dict = {}
+    exec(f"def row(item):\n    return f'''{body}'''\n", namespace)
+    return namespace["row"]
+
+
 def render(items, fmt: str) -> bytes:
     """Serialize records to UTF-8 CSV or JSON bytes.
 
@@ -292,27 +317,10 @@ def render(items, fmt: str) -> bytes:
         columns = _REFERENCE_COLUMNS
     else:
         raise ValueError(f"cannot render {type(items[0]).__name__} items")
-    names, paths, forms = zip(*columns)
-    values = attrgetter(*paths)
-
+    row = _row_function(columns, fmt)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(names)
-        for item in items:
-            writer.writerow(
-                ["" if v is None else form.text(v) for form, v in zip(forms, values(item))]
-            )
-        return buf.getvalue().encode("utf-8")
-
-    import json
-
-    objs = [
-        {
-            name: None if v is None else form.value(v)
-            for name, form, v in zip(names, forms, values(item))
-        }
-        for item in items
-    ]
-    text = json.dumps(objs, separators=(",", ":"), ensure_ascii=False)
-    return (text + "\n").encode("utf-8")
+        header = ",".join(name for name, _, _ in columns)
+        text = header + "\n" + "".join(map(row, items))
+    else:
+        text = "[" + ",".join(map(row, items)) + "]\n"
+    return text.encode("utf-8")

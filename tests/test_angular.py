@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import mpmath as mp
 import numpy as np
@@ -112,6 +113,13 @@ class TestSectoral:
         # sin(theta) ** inf is an all-zero profile, which the ladder
         # operators would carry on as weight inf
         with pytest.raises(ValueError, match="finite and non-negative"):
+            sectoral(m, grid)
+
+    @pytest.mark.parametrize("m", [1e12, 1e154, 2e154])
+    def test_rejects_a_weight_whose_profile_underflows(self, grid, m):
+        # on the 4096-point grid sin(theta) <= 1 - 7e-8, so (sin theta)**m
+        # is 0 everywhere from m ~ 1e10 on, and the ladder would divide 0 by 0
+        with pytest.raises(ValueError, match=re.escape(f"weight m = {m:g} is too large")):
             sectoral(m, grid)
 
 

@@ -311,13 +311,24 @@ class TestLadderCheck:
 
     def test_rejects_a_weight_whose_square_overflows(self):
         # the Casimir term m**2 / sin**2 overflows for any float m from
-        # ~1.34e154 on: a refused input, not a failed certification
+        # ~1.34e154 on: a refused input, not a failed certification; the
+        # sectoral profile of such a weight is 0 on the grid, and
+        # sectoral refuses it first
         proc = run_cli("ladder-check", "--m", "2e154", "--k", "0")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
-            "error: weight m = 2e+154 is too large: m**2 overflows"]
+            "error: weight m = 2e+154 is too large: (sin theta)**m is 0 at every grid point"]
+
+    @pytest.mark.parametrize("m", ["1e154", "2e154"])
+    def test_a_weight_whose_profile_underflows_gets_one_error_line(self, m):
+        # no numpy RuntimeWarning reaches stderr before the refusal
+        proc = run_cli("ladder-check", "--m", m, "--k", "0")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: weight m = {float(m):g} is too large: (sin theta)**m is 0 at every grid point\n")
 
 
 class TestOutOfMemory:

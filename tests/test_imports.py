@@ -4,8 +4,9 @@ numpy and scipy cost most of a cold ``wedgemodes`` process, so ``eval``,
 ``spectrum`` and ``validate`` must not load them, ``ladder-check`` loads
 numpy only, and scipy is paid for only by the FD oracle.  ``decimal`` is
 paid for only by the series oracle, which no command runs.  ``eval`` loads
-neither ``modes`` nor ``report``, and ``json`` and ``hashlib`` are paid for
-only by JSON output and the reference table.  Each check runs in a fresh
+neither ``modes`` nor ``report``, ``spectrum`` loads none of ``csv``,
+``json`` and ``hashlib`` in either format, and ``csv`` and ``hashlib`` are
+paid for only by the reference table.  Each check runs in a fresh
 interpreter and counts modules; nothing is timed.
 """
 
@@ -94,4 +95,12 @@ def test_csv_spectrum_loads_neither_json_nor_hashlib():
     argv = ["spectrum", "--radius-mm", "15", "--wedge-deg", "90", "--fmax-ghz", "14",
             "--format", "csv"]
     body = f"from wedgemodes import cli\nassert cli.main({argv!r}) == 0"
-    assert heavy_modules_after(body, ("json", "hashlib", "csv")) == ["csv"]
+    assert heavy_modules_after(body, ("json", "hashlib", "csv")) == []
+
+
+def test_json_spectrum_loads_neither_json_nor_hashlib():
+    # the rows are generated f-strings, so JSON output needs no json module
+    argv = ["spectrum", "--radius-mm", "15", "--wedge-deg", "90", "--fmax-ghz", "14",
+            "--format", "json"]
+    body = f"from wedgemodes import cli\nassert cli.main({argv!r}) == 0"
+    assert heavy_modules_after(body, ("json", "hashlib", "csv")) == []

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import csv
+import functools
 import hashlib
+import io
+import json
 import math
+import random
+from operator import attrgetter
 
 import pytest
 
@@ -199,6 +205,100 @@ class TestCompare:
     def test_rejects_non_finite_or_negative_tolerance(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
             compare([], [], tol)
+
+
+def _round6(value: float) -> float:
+    return float(f"{value:.6g}")
+
+
+def _same(value):
+    return value
+
+
+# each declared format as (CSV text, JSON value) functions, written
+# independently of the f-string fields that render compiles
+_CELLS = {
+    report._TEXT: (str, _same),
+    report._INT: (str, _same),
+    report._FLOAT_G: ("{:g}".format, _same),
+    report._FIXED6: ("{:.6f}".format, _round6),
+    report._SIG6: ("{:#.6g}".format, _round6),
+    report._GHZ_SIG6: (lambda hz: f"{hz / 1e9:#.6g}", lambda hz: _round6(hz / 1e9)),
+    report._PCT4: (lambda dev: f"{100.0 * dev:.4f}", lambda dev: round(100.0 * dev, 4)),
+    report._BOOL: (lambda flag: "true" if flag else "false", _same),
+}
+_CELLS[report._nullable(report._SIG6)] = _CELLS[report._SIG6]
+_CELLS[report._nullable(report._PCT4)] = _CELLS[report._PCT4]
+
+
+def render_reference(items, fmt: str) -> bytes:
+    """The generic writer: ``csv.writer`` and ``json.dumps`` over the column
+    declaration, a function call per cell; a ``None`` cell renders as an
+    empty CSV cell or JSON null."""
+    items = list(items)
+    columns = report._SPECTRUM_COLUMNS
+    if items and isinstance(items[0], ComparisonRow):
+        columns = report._COMPARISON_COLUMNS
+    elif items and isinstance(items[0], ReferenceRow):
+        columns = report._REFERENCE_COLUMNS
+    names, paths, forms = zip(*columns)
+    values = attrgetter(*paths)
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(names)
+        for item in items:
+            writer.writerow(
+                ["" if v is None else _CELLS[form][0](v) for form, v in zip(forms, values(item))]
+            )
+        return buf.getvalue().encode("utf-8")
+    objs = [
+        {
+            name: None if v is None else _CELLS[form][1](v)
+            for name, form, v in zip(names, forms, values(item))
+        }
+        for item in items
+    ]
+    return (json.dumps(objs, separators=(",", ":"), ensure_ascii=False) + "\n").encode("utf-8")
+
+
+@functools.cache
+def _seeded_spectra(count: int, seed: int) -> tuple[list[ModeRecord], ...]:
+    """Spectra of seeded geometries: openings 0-300 degrees, radii 5-40 mm,
+    x caps log-uniform on [2, 40], TE, TM or both."""
+    rng = random.Random(seed)
+    pols = (frozenset(("TE",)), frozenset(("TM",)), frozenset(("TM", "TE")))
+    spectra = []
+    for _ in range(count):
+        radius = 1e-3 * rng.uniform(5.0, 40.0)
+        x_cap = math.exp(rng.uniform(math.log(2.0), math.log(40.0)))
+        f_max = x_cap * SPEED_OF_LIGHT / (2.0 * math.pi * radius)
+        cfg = WedgeConfig.from_degrees(rng.choice((0.0, 90.0, 180.0, 300.0)), radius)
+        spectra.append(enumerate_spectrum(cfg, f_max, rng.choice(pols)))
+    return tuple(spectra)
+
+
+class TestRenderMatchesTheGenericWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_seeded_spectra(self, fmt):
+        spectra = _seeded_spectra(200, 2201) + ([],)
+        assert sum(len(records) for records in spectra) > 10_000
+        for records in spectra:
+            assert render(records, fmt) == render_reference(records, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reference_rows(self, fmt):
+        rows = load_reference()
+        assert render(rows, fmt) == render_reference(rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_comparison_rows_matched_and_not(self, fmt):
+        rows = [row for wedge in (27.0, 47.0, 73.0, 90.0, 180.0)
+                for row in report._validate_block(wedge)[0]]
+        cfg = WedgeConfig.from_degrees(90.0, RADIUS)
+        rows += compare(enumerate_spectrum(cfg, 8e9), block_reference(90.0))[0]
+        assert {row.matched for row in rows} == {True, False}
+        assert render(rows, fmt) == render_reference(rows, fmt)
 
 
 class TestRender:

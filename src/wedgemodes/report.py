@@ -205,12 +205,21 @@ def _parse_reference_csv(data: bytes) -> list[ReferenceRow]:
 @functools.cache
 def _reference_rows() -> tuple[ReferenceRow, ...]:
     """The embedded rows, read, checksum-verified and parsed once per process."""
-    # imported here, so that commands without the table start without them
-    import hashlib
+    # imported here, so that commands without the table start without them;
+    # CPython's built-in SHA-256 (``_sha2`` from 3.12 on) spares the process
+    # hashlib's OpenSSL, about 3.7 MB resident, as ``random`` does for SHA-512
     from importlib import resources
 
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+
     data = (resources.files("wedgemodes") / "data" / "reference_tables.csv").read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
+    digest = sha256(data).hexdigest()
     if digest != _REFERENCE_SHA256:
         raise ReferenceIntegrityError(
             f"reference data checksum mismatch: {digest} != {_REFERENCE_SHA256}"

@@ -5,9 +5,10 @@ numpy and scipy cost most of a cold ``wedgemodes`` process, so ``eval``,
 numpy only, and scipy is paid for only by the FD oracle.  ``decimal`` is
 paid for only by the series oracle, which no command runs.  ``eval`` loads
 neither ``modes`` nor ``report``, ``spectrum`` loads none of ``csv``,
-``json`` and ``hashlib`` in either format, and ``csv`` and ``hashlib`` are
-paid for only by the reference table.  Each check runs in a fresh
-interpreter and counts modules; nothing is timed.
+``json`` and ``hashlib`` in either format, and ``csv`` is paid for only
+by the reference table, which is verified without hashlib's OpenSSL.
+Each check runs in a fresh interpreter and counts modules; nothing is
+timed.
 """
 
 from __future__ import annotations
@@ -104,3 +105,10 @@ def test_json_spectrum_loads_neither_json_nor_hashlib():
             "--format", "json"]
     body = f"from wedgemodes import cli\nassert cli.main({argv!r}) == 0"
     assert heavy_modules_after(body, ("json", "hashlib", "csv")) == []
+
+
+def test_validate_verifies_the_table_without_openssl():
+    # CPython's built-in SHA-256 checks the table; hashlib's _hashlib maps
+    # OpenSSL's libcrypto, about 3.7 MB resident
+    body = "from wedgemodes import cli\nassert cli.main(['validate', '--wedge-deg', '27']) == 0"
+    assert heavy_modules_after(body, ("hashlib", "_hashlib")) == []

@@ -206,12 +206,13 @@ def apply_casimir(f: AngularFunction) -> AngularFunction:
     Returns the profile ``-(1/sin)(sin(theta) f')' + (m**2/sin**2) f``,
     with both derivatives taken by the 4th-order stencils.  Eigenfunctions
     of weight ``m`` and degree ``nu`` return ``nu (nu + 1)`` times
-    themselves, up to discretization error.
+    themselves, up to discretization error.  A weight whose term
+    ``m**2 / sin**2`` overflows at the grid's smallest sin(theta) is refused.
     """
-    if math.isinf(f.m * f.m):
-        raise ValueError(f"weight m = {f.m:g} is too large: m**2 overflows")
     h = _uniform_spacing(f.theta_grid)
     sin_t = np.sin(f.theta_grid)
+    if math.isinf(f.m * f.m / float(np.min(sin_t)) ** 2):
+        raise ValueError(f"weight m = {f.m:g} is too large: m**2 overflows over sin(theta)**2")
     flux = sin_t * _derivative(f.values, h)
     out = -_derivative(flux, h) / sin_t + (f.m * f.m / sin_t**2) * f.values
     return AngularFunction(m=f.m, theta_grid=f.theta_grid, values=out)
@@ -264,9 +265,7 @@ def collinearity(f: AngularFunction, g: AngularFunction) -> float:
     ``|<f, g>| / (||f|| ||g||)`` with trapezoidal quadrature over the
     interior window ``[POLE_MARGIN, pi - POLE_MARGIN]``; 1 means proportional.
     """
-    if f.theta_grid.shape != g.theta_grid.shape or not np.array_equal(
-        f.theta_grid, g.theta_grid
-    ):
+    if not np.array_equal(f.theta_grid, g.theta_grid):
         raise ValueError("profiles must share a theta grid")
     theta, weight, fv, gv = _interior(f.theta_grid, f.values, g.values)
     cross = np.trapezoid(fv * gv * weight, theta)

@@ -119,22 +119,16 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[bytes, int]:
             f"{within},{'pass' if ok else 'fail'}"
         )
         for row in rows:
+            ref = row.reference
             if not row.matched:
-                print(
-                    f"wedge {wedge:g} mode {row.reference.mode_index}: "
-                    f"no computed mode matches "
-                    f"({row.reference.polarisation}, m={row.reference.m:.6f}, "
-                    f"k={row.reference.k})",
-                    file=sys.stderr,
-                )
+                problem = f"no computed mode matches ({ref.polarisation}, m={ref.m:.6f}, k={ref.k})"
             elif not row.within_tol:
-                print(
-                    f"wedge {wedge:g} mode {row.reference.mode_index}: "
-                    f"computed {row.f_computed_ghz:.4f} GHz vs tabulated "
-                    f"{row.reference.f_theory_ghz:.4f} GHz "
-                    f"({100.0 * row.dev_vs_theory:+.3f}% > {args.tol_pct:g}%)",
-                    file=sys.stderr,
-                )
+                problem = (f"computed {row.f_computed_ghz:.4f} GHz vs tabulated "
+                           f"{ref.f_theory_ghz:.4f} GHz "
+                           f"({100.0 * row.dev_vs_theory:+.3f}% > {args.tol_pct:g}%)")
+            else:
+                continue
+            print(f"wedge {wedge:g} mode {ref.mode_index}: {problem}", file=sys.stderr)
     return ("\n".join(lines) + "\n").encode("utf-8"), 1 if failed else 0
 
 
@@ -182,21 +176,16 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[bytes, int]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> tuple[bytes, int]:
-    # the flags each function takes besides --x: required, and the others refused
-    takes = {"sph-j": ("nu",), "riccati-d": ("nu",), "legendre-theta": ("nu", "m"),
-             "ln-gamma": ()}[args.fn]
+    # each function and the flags it takes before --x, in call order (those
+    # required, the others refused), read from the module's current bindings
+    function, takes = {"sph-j": (spherical_j, ("nu",)), "riccati-d": (riccati_derivative, ("nu",)),
+                       "legendre-theta": (legendre_theta, ("nu", "m")),
+                       "ln-gamma": (ln_gamma, ())}[args.fn]
     for flag in ("nu", "m"):
         if (getattr(args, flag) is None) == (flag in takes):
             verb = "requires" if flag in takes else "does not take"
             raise ValueError(f"--fn {args.fn} {verb} --{flag}")
-    if args.fn == "sph-j":
-        value = spherical_j(args.nu, args.x)
-    elif args.fn == "riccati-d":
-        value = riccati_derivative(args.nu, args.x)
-    elif args.fn == "legendre-theta":
-        value = legendre_theta(args.nu, args.m, args.x)
-    else:
-        value = ln_gamma(args.x)
+    value = function(*(getattr(args, flag) for flag in takes), args.x)
     return f"{value:.12g}\n".encode("utf-8"), 0
 
 

@@ -26,7 +26,6 @@ byte-identical output.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import re
 from collections.abc import Callable
@@ -103,17 +102,16 @@ class ComparisonRow:
         """Whether a computed record matched the reference row."""
         return self.f_computed_ghz is not None
 
+    def _deviation(self, f_ref_ghz: float) -> float | None:
+        return (self.f_computed_ghz - f_ref_ghz) / f_ref_ghz if self.matched else None
+
     @property
     def dev_vs_theory(self) -> float | None:
-        if not self.matched:
-            return None
-        return (self.f_computed_ghz - self.reference.f_theory_ghz) / self.reference.f_theory_ghz
+        return self._deviation(self.reference.f_theory_ghz)
 
     @property
     def dev_vs_hfss(self) -> float | None:
-        if not self.matched:
-            return None
-        return (self.f_computed_ghz - self.reference.f_hfss_ghz) / self.reference.f_hfss_ghz
+        return self._deviation(self.reference.f_hfss_ghz)
 
     @property
     def within_tol(self) -> bool:
@@ -188,18 +186,16 @@ _COMPARISON_COLUMNS = tuple(
 
 
 def _parse_reference_csv(data: bytes) -> list[ReferenceRow]:
-    """Parse reference rows from CSV bytes (schema of ``reference_tables.csv``)."""
-    # imported here, so that rendering and the commands without the table
-    # start without it
-    import csv
-
-    reader = csv.DictReader(io.StringIO(data.decode("utf-8")))
-    if reader.fieldnames != [name for name, _, _ in _REFERENCE_COLUMNS]:
+    """Parse reference rows from the CSV bytes of ``reference_tables.csv``, whose
+    checksum fixes a format of unquoted cells: each line is split at its commas."""
+    lines = data.decode("utf-8").splitlines()
+    if lines[:1] != [",".join(name for name, _, _ in _REFERENCE_COLUMNS)]:
         raise ReferenceIntegrityError("unexpected reference CSV header")
-    return [
-        ReferenceRow(**{path: form.parse(rec[name]) for name, path, form in _REFERENCE_COLUMNS})
-        for rec in reader
-    ]
+    table = [line.split(",") for line in lines[1:]]
+    if any(len(cells) != len(_REFERENCE_COLUMNS) for cells in table):
+        raise ReferenceIntegrityError("a reference CSV row and its header differ in cell count")
+    return [ReferenceRow(**{path: form.parse(cell) for (_, path, form), cell
+                            in zip(_REFERENCE_COLUMNS, cells)}) for cells in table]
 
 
 @functools.cache

@@ -200,6 +200,19 @@ class TestCasimir:
         with pytest.raises(ValueError, match="m\\*\\*2 overflows"):
             apply_casimir(f)
 
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_a_weight_whose_term_overflows_at_the_poles(self):
+        # the sectoral profile of m = 1e154 on an odd grid, whose middle
+        # sample has sin theta = 1: one 1 among zeros.  m**2 is finite, but
+        # m**2 / sin**2 overflows near the poles; it is refused before numpy
+        # can warn of the overflow
+        grid = uniform_grid(4097)
+        values = np.zeros_like(grid)
+        values[2048] = 1.0
+        f = AngularFunction(m=1e154, theta_grid=grid, values=values)
+        with pytest.raises(ValueError, match="m\\*\\*2 overflows"):
+            apply_casimir(f)
+
     def test_tesseral_eigenvalue(self, grid):
         q = casimir_eigenvalue_estimate(build_tesseral(2.0 / 3.0, 1, grid))
         assert q == pytest.approx(40.0 / 9.0, rel=1e-5)

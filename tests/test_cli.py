@@ -202,6 +202,17 @@ class TestEval:
         assert proc.stdout == ""
         assert proc.stderr == f"error: --fn {argv[0]} does not take {flag}\n"
 
+    @pytest.mark.parametrize("fn, argv", [
+        ("sph-j", ("--x", "2")),
+        ("riccati-d", ("--x", "2")),
+        ("legendre-theta", ("--m", "0.5", "--x", "1")),
+    ])
+    def test_refuses_to_run_without_the_order(self, fn, argv):
+        proc = run_cli("eval", "--fn", fn, *argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: --fn {fn} requires --nu\n"
+
     @pytest.mark.parametrize("fn, x", [("sph-j", "1e-320"), ("riccati-d", "1e-309")])
     def test_subnormal_argument_gives_the_limit(self, fn, x):
         # j_0(x) and d/dx[x j_0(x)] = cos x tend to 1; the factor
@@ -329,6 +340,25 @@ class TestLadderCheck:
         assert proc.stdout == ""
         assert proc.stderr == (
             f"error: weight m = {float(m):g} is too large: (sin theta)**m is 0 at every grid point\n")
+
+    @pytest.mark.parametrize("grid", ["4095", "4097"])
+    def test_an_odd_grid_weight_whose_casimir_term_overflows_gets_one_error_line(self, grid):
+        # an odd grid holds a middle sample where sin theta may round to 1,
+        # and then the profile of m = 1e154 is one 1 among zeros: m**2 is
+        # finite, but the Casimir term m**2 / sin**2 overflows near the
+        # poles and is refused with no numpy RuntimeWarning before it
+        import numpy as np
+
+        from wedgemodes.angular import uniform_grid
+
+        if np.sin(uniform_grid(int(grid))).max() == 1.0:
+            reason = "m**2 overflows over sin(theta)**2"
+        else:
+            reason = "(sin theta)**m is 0 at every grid point"
+        proc = run_cli("ladder-check", "--m", "1e154", "--k", "0", "--grid", grid)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: weight m = 1e+154 is too large: {reason}\n"
 
 
 class TestOutOfMemory:

@@ -5,8 +5,9 @@ numpy and scipy cost most of a cold ``wedgemodes`` process, so ``eval``,
 numpy only, and scipy is paid for only by the FD oracle.  ``decimal`` is
 paid for only by the series oracle, which no command runs.  ``eval`` loads
 neither ``modes`` nor ``report``, ``spectrum`` loads none of ``csv``,
-``json`` and ``hashlib`` in either format, and ``csv`` is paid for only
-by the reference table, which is verified without hashlib's OpenSSL.
+``json`` and ``hashlib`` in either format, and ``validate`` loads neither
+``csv`` nor hashlib's OpenSSL: the reference table is split by its column
+declaration and verified with CPython's built-in SHA-256.
 Each check runs in a fresh interpreter and counts modules; nothing is
 timed.
 """
@@ -112,3 +113,10 @@ def test_validate_verifies_the_table_without_openssl():
     # OpenSSL's libcrypto, about 3.7 MB resident
     body = "from wedgemodes import cli\nassert cli.main(['validate', '--wedge-deg', '27']) == 0"
     assert heavy_modules_after(body, ("hashlib", "_hashlib")) == []
+
+
+def test_validate_parses_the_table_without_csv():
+    # the checksum fixes the table's format, so its lines are split at their
+    # commas by the column declaration, with no CSV reader
+    body = "from wedgemodes import cli\nassert cli.main(['validate', '--wedge-deg', '27']) == 0"
+    assert heavy_modules_after(body, ("csv", "_csv")) == []

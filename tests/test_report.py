@@ -94,6 +94,20 @@ class TestLoadReference:
         with pytest.raises(ReferenceIntegrityError):
             _parse_reference_csv(b"a,b,c\n1,2,3\n")
 
+    @pytest.mark.parametrize("cells", [None, 7, 9], ids=["empty", "short-row", "long-row"])
+    def test_parse_refuses_a_row_its_header_does_not_fit(self, cells):
+        # the header and first row of the resource, cut or padded to
+        # ``cells`` cells (8 in the header), or no bytes at all
+        from importlib import resources
+
+        header, first = (
+            resources.files("wedgemodes") / "data" / "reference_tables.csv"
+        ).read_text().splitlines()[:2]
+        row = (first.split(",") * 2)[:cells]
+        data = b"" if cells is None else f"{header}\n{','.join(row)}\n".encode()
+        with pytest.raises(ReferenceIntegrityError):
+            _parse_reference_csv(data)
+
     def test_render_round_trips_the_resource(self):
         from importlib import resources
 

@@ -211,7 +211,8 @@ def apply_casimir(f: AngularFunction) -> AngularFunction:
     """
     h = _uniform_spacing(f.theta_grid)
     sin_t = np.sin(f.theta_grid)
-    if math.isinf(f.m * f.m / float(np.min(sin_t)) ** 2):
+    ratio = f.m / float(np.min(sin_t))  # sin theta > 0 inside (0, pi); its square may be 0
+    if math.isinf(ratio * ratio):
         raise ValueError(f"weight m = {f.m:g} is too large: m**2 overflows over sin(theta)**2")
     flux = sin_t * _derivative(f.values, h)
     out = -_derivative(flux, h) / sin_t + (f.m * f.m / sin_t**2) * f.values

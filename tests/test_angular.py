@@ -213,6 +213,15 @@ class TestCasimir:
         with pytest.raises(ValueError, match="m\\*\\*2 overflows"):
             apply_casimir(f)
 
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_a_grid_whose_smallest_sin_squared_underflows(self):
+        # sin(1e-170)**2 underflows to 0, so m**2 / sin**2 is infinite for
+        # any weight m != 0
+        grid = 1e-170 + 1e-3 * np.arange(100)
+        f = AngularFunction(m=1.0, theta_grid=grid, values=np.ones_like(grid))
+        with pytest.raises(ValueError, match="m\\*\\*2 overflows"):
+            apply_casimir(f)
+
     def test_tesseral_eigenvalue(self, grid):
         q = casimir_eigenvalue_estimate(build_tesseral(2.0 / 3.0, 1, grid))
         assert q == pytest.approx(40.0 / 9.0, rel=1e-5)

@@ -342,7 +342,7 @@ class TestLadderCheck:
             f"error: weight m = {float(m):g} is too large: (sin theta)**m is 0 at every grid point\n")
 
     @pytest.mark.parametrize("grid", ["4095", "4097"])
-    def test_an_odd_grid_weight_whose_casimir_term_overflows_gets_one_error_line(self, grid):
+    def test_an_odd_grid_casimir_overflow_gets_one_error_line(self, grid):
         # an odd grid holds a middle sample where sin theta may round to 1,
         # and then the profile of m = 1e154 is one 1 among zeros: m**2 is
         # finite, but the Casimir term m**2 / sin**2 overflows near the

@@ -320,23 +320,23 @@ def null_field_check(nu: float, m: float) -> bool:
 
 #: Wedge plans keyed by (wedge_angle, polarisations), oldest use first as in
 #: ``_TOWERS``.  A plan is the radius-free walk of :func:`enumerate_spectrum`
-#: at the widest x cap asked for its key so far, ``(x_cap, gates, entries)``
-#: as :func:`_walk` returns it; a request with a wider cap replaces it.
+#: at the widest x cap asked for its key so far, ``(x_cap, entries)`` as
+#: :func:`_walk` returns it; a request with a wider cap replaces it.
 #: Openings drawn at random never share a plan, so only a few are kept.
-_PLANS: dict[tuple[float, frozenset[str]], tuple[float, list, list]] = {}
+_PLANS: dict[tuple[float, frozenset[str]], tuple[float, list]] = {}
 _PLANS_MAX = 8
 _PLANS_LOCK = threading.Lock()
 
 
 def _walk(config: WedgeConfig, polarisations: frozenset[str], x_cap: float) -> tuple:
     """The walk over (polarisation, n, k) at ``x_cap`` as the plan ``(x_cap,
-    gates, entries)``: TM, then TE, n and then k ascending, a walk over n
-    ending at the first harmonic whose k = 0 tower is empty, a walk over k
-    at the first empty tower.  ``entries`` are its modes as ``(walk index,
-    ModeId, x)``, sorted stably by gate: the largest of x and the first
-    roots of the towers passed to reach the mode, the k = 0 towers of
-    earlier harmonics (the null-field TE tower too) and the towers k' <= k
-    of its own.  A walk at any cap lists the modes gated at or below it."""
+    entries)``: TM, then TE, n and then k ascending, a walk over n ending at
+    the first harmonic whose k = 0 tower is empty, a walk over k at the
+    first empty tower.  ``entries`` are its modes as ``(gate, walk index,
+    ModeId, x)``, sorted: the gate is the largest of x and the first roots
+    of the towers passed to reach the mode, the k = 0 towers of earlier
+    harmonics (the null-field TE tower too) and the towers k' <= k of its
+    own.  A walk at any cap lists the modes gated at or below it."""
     walk = []
     for pol in ("TM", "TE"):
         if pol not in polarisations:
@@ -361,14 +361,13 @@ def _walk(config: WedgeConfig, polarisations: frozenset[str], x_cap: float) -> t
                 if k == 0:
                     reach = gate
                 if not (pol == "TE" and null_field_check(m + k, m)):
-                    walk += [(max(gate, x), ModeId(pol, n, k, s, m), x)
+                    walk += [(max(gate, x), len(walk) + s, ModeId(pol, n, k, s, m), x)
                              for s, x in enumerate(xs, 1)]
                 k += 1
             if k == 0:
                 break
             n += 1
-    order = sorted(range(len(walk)), key=lambda i: walk[i][0])
-    return x_cap, [walk[i][0] for i in order], [(i, *walk[i][1:]) for i in order]
+    return x_cap, sorted(walk)
 
 
 def enumerate_spectrum(
@@ -417,10 +416,10 @@ def enumerate_spectrum(
                 del _PLANS[next(iter(_PLANS))]
         _PLANS[key] = plan
 
-    _, gates, entries = plan
-    # ordered by frequency, then by walk index: TM before TE, then n, k, s
+    # ordered by frequency, then by walk index: TM before TE, then n, k, s;
+    # inf sorts after every walk index, so the cut keeps a gate equal to x_cap
     served = sorted((frequency(x, config.radius_a), i, mode, x)
-                    for i, mode, x in entries[:bisect_right(gates, x_cap)])
+                    for _, i, mode, x in plan[1][:bisect_right(plan[1], (x_cap, math.inf))])
     return [ModeRecord(mode, x, f) for f, _, mode, x in served]
 
 

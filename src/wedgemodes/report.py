@@ -15,10 +15,10 @@ counterpart becomes a failure row (no computed values, so not ``matched``)
 rather than an exception.
 
 :func:`render` serializes spectra, comparisons, or reference rows to CSV or
-JSON, telling them apart by the type of the first item.  One column
-declaration per record kind (name, attribute, format, in output order)
-drives the reference parser and the row functions that render compiles
-from it once per process, one f-string per record kind and format.
+JSON, looking up the record kind by the exact type of the first item.  One
+column declaration per record kind (name, attribute, format, in output
+order) drives the reference parser and the writers that render compiles
+from it once per process and format, each writing one f-string per row.
 Frequencies carry six significant digits, and identical inputs produce
 byte-identical output.
 """
@@ -285,21 +285,27 @@ def _validate_block(wedge_deg: float, tol: float = 0.002) -> tuple[list[Comparis
     return compare(modes.enumerate_spectrum(config, cap_hz), block, tol)
 
 
+#: The column declaration of each record kind, by its type; render reads
+#: it from the type of the first item, and an empty list is a spectrum.
+_COLUMNS = {ModeRecord: _SPECTRUM_COLUMNS, ComparisonRow: _COMPARISON_COLUMNS,
+            ReferenceRow: _REFERENCE_COLUMNS}
+
+
 @functools.cache
-def _row_function(columns: tuple, fmt: str) -> Callable[[object], str]:
-    """The row function of one column declaration in one format, compiled
-    on first use: one f-string of the columns' fields, with each field's
-    ``v`` replaced by the item's attribute path.  A CSV row ends in a
-    newline; a JSON row is one object."""
+def _writer(columns: tuple, fmt: str) -> Callable[[list], str]:
+    """The writer of one column declaration in one format, compiled on first
+    use: one f-string per row of the columns' fields, with each field's
+    ``v`` replaced by the item's attribute path, joined into the document,
+    a CSV header line and its rows, or a JSON array of objects."""
+    names = [name for name, _, _ in columns]
     cells = [re.sub(r"\bv\b", "item." + path, getattr(form, fmt)) for _, path, form in columns]
     if fmt == "csv":
-        body = ",".join(cells) + "\\n"
+        head, row, sep, tail = ",".join(names) + "\n", ",".join(cells) + "\\n", "", ""
     else:
-        pairs = (f'"{name}":{cell}' for (name, _, _), cell in zip(columns, cells))
-        body = "{{" + ",".join(pairs) + "}}"
-    namespace: dict = {}
-    exec(f"def row(item):\n    return f'''{body}'''\n", namespace)
-    return namespace["row"]
+        pairs = ",".join(f'"{name}":{cell}' for name, cell in zip(names, cells))
+        head, row, sep, tail = "[", "{{" + pairs + "}}", ",", "]\n"
+    return eval(f"lambda items: {head!r} + {sep!r}.join([f'''{row}''' for item in items])"
+                f" + {tail!r}", {})
 
 
 def render(items, fmt: str) -> bytes:
@@ -314,18 +320,7 @@ def render(items, fmt: str) -> bytes:
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format: {fmt!r} (expected 'csv' or 'json')")
     items = list(items)
-    if not items or isinstance(items[0], ModeRecord):
-        columns = _SPECTRUM_COLUMNS
-    elif isinstance(items[0], ComparisonRow):
-        columns = _COMPARISON_COLUMNS
-    elif isinstance(items[0], ReferenceRow):
-        columns = _REFERENCE_COLUMNS
-    else:
+    columns = _COLUMNS.get(type(items[0]) if items else ModeRecord)
+    if columns is None:
         raise ValueError(f"cannot render {type(items[0]).__name__} items")
-    row = _row_function(columns, fmt)
-    if fmt == "csv":
-        header = ",".join(name for name, _, _ in columns)
-        text = header + "\n" + "".join(map(row, items))
-    else:
-        text = "[" + ",".join(map(row, items)) + "]\n"
-    return text.encode("utf-8")
+    return _writer(columns, fmt)(items).encode("utf-8")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
 
@@ -359,6 +360,27 @@ class TestLadderCheck:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"error: weight m = 1e+154 is too large: {reason}\n"
+
+    @pytest.mark.parametrize("argv", [["--m", "1e8", "--k", "0"],
+                                      ["--m", "1e8", "--k", "0", "--grid", "4097"],
+                                      ["--m", "1e6", "--k", "3"]])
+    def test_an_unresolved_profile_fails_its_casimir_row(self, argv):
+        # a profile a few samples wide: the exact m**2 / sin**2 term is most
+        # of the target (m+k)(m+k+1), so the error is taken relative to the
+        # rest, the part the stencils compute
+        proc = run_cli("ladder-check", *argv)
+        assert proc.returncode == 1
+        lines = proc.stdout.splitlines()
+        assert lines[2].startswith("casimir_quotient,") and lines[2].endswith(",fail")
+
+    def test_resolved_profiles_pass(self):
+        # the range perfbench draws from: m in [0.3, 2.5], k <= 3
+        rng = random.Random(2402)
+        for _ in range(8):
+            m, k = rng.uniform(0.3, 2.5), rng.randint(0, 3)
+            proc = run_cli("ladder-check", "--m", repr(m), "--k", str(k), "--grid", "4096")
+            assert proc.returncode == 0, (m, k, proc.stdout)
+            assert proc.stdout.splitlines()[2].endswith(",pass")
 
 
 class TestOutOfMemory:

@@ -956,3 +956,38 @@ class TestWedgePlans:
         assert not any(t.is_alive() for t in threads)
         for order in (1, -1):
             assert [got[order][i] for i in range(len(requests))] == want
+
+
+class TestPlanCut:
+    def test_a_cap_equal_to_a_modes_x_keeps_the_mode(self, monkeypatch):
+        # each mode here is gated at its own x, so a cap equal to that float
+        # keeps it, whether the plan is built at the cap or built wider and
+        # cut there, and the next cap below drops it
+        config = WedgeConfig.from_degrees(27.0, RADIUS)
+
+        def x_cap(f_max):
+            return 2.0 * math.pi * RADIUS * f_max / SPEED_OF_LIGHT
+
+        exact = 0
+        for record in enumerate_spectrum(config, 14e9):
+            # step f_max an ulp at a time from the quotient towards the float x
+            f_max = record.x * SPEED_OF_LIGHT / (2.0 * math.pi * RADIUS)
+            for _ in range(64):
+                if x_cap(f_max) == record.x:
+                    break
+                f_max = math.nextafter(f_max, math.inf if x_cap(f_max) < record.x else 0.0)
+            if x_cap(f_max) != record.x:
+                continue
+            exact += 1
+            below = f_max
+            while x_cap(below) == record.x:
+                below = math.nextafter(below, 0.0)
+            for wider in (False, True):
+                fresh_memos(monkeypatch)
+                if wider:
+                    enumerate_spectrum(config, 14e9)
+                got = enumerate_spectrum(config, f_max)
+                assert record in got, (record, wider)
+                assert got == walk_without_plan(config, f_max, ("TM", "TE"))
+                assert record not in enumerate_spectrum(config, below)
+        assert exact >= 3

@@ -407,9 +407,12 @@ class TestRender:
         with pytest.raises(ValueError):
             render([], "yaml")
 
-    def test_rejects_foreign_items(self):
+    # a ModeId is a package type but no record kind
+    @pytest.mark.parametrize("item", [object(), ModeId("TM", 1, 0, 1, 1.0)],
+                             ids=["object", "ModeId"])
+    def test_rejects_foreign_items(self, item):
         with pytest.raises(ValueError):
-            render([object()], "csv")
+            render([item], "csv")
 
     def test_rendering_is_deterministic(self):
         cfg = WedgeConfig.from_degrees(47.0, RADIUS)

@@ -131,8 +131,7 @@ def uniform_grid(size: int) -> np.ndarray:
     size : int
         Number of samples, at least 16.
     """
-    if size < _MIN_GRID:
-        raise ValueError(f"grid must hold at least {_MIN_GRID} points, got {size}")
+    _check_index("grid size", size, _MIN_GRID)
     return np.linspace(POLE_CLIP, math.pi - POLE_CLIP, size)
 
 

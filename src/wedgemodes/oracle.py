@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import ln_gamma
+from .specfun import _check_index, ln_gamma
 
 __all__ = ["EigenResult", "legendre_spectrum_fd", "bessel_series_reference"]
 
@@ -25,9 +25,6 @@ __all__ = ["EigenResult", "legendre_spectrum_fd", "bessel_series_reference"]
 # ---------------------------------------------------------------------------
 # Finite-difference eigensolver for the theta-equation
 # ---------------------------------------------------------------------------
-
-_FD_EPS = 1e-3  # Dirichlet truncation distance from the poles
-
 
 @dataclass(frozen=True)
 class EigenResult:
@@ -46,33 +43,34 @@ class EigenResult:
 def legendre_spectrum_fd(m: float, grid_size: int, count: int) -> EigenResult:
     """Lowest `count` eigenvalues of the singular Sturm-Liouville problem.
 
-    Discretizes -(1/sin t)(sin t u')' + (m^2/sin^2 t) u = lambda u on
-    [eps, pi - eps] with eps = 1e-3 and homogeneous Dirichlet ends (the
-    regular solutions vanish like t^m for m > 0).  Conservative central
-    differences in flux form give a generalized symmetric problem
-    A u = lambda B u with diagonal B = sin(t); the similarity transform
-    B^(-1/2) A B^(-1/2) keeps it symmetric tridiagonal.
+    Discretizes -(1/sin t)(sin t u')' + (m^2/sin^2 t) u = lambda u at the
+    nodes t_i = i h, h = pi / (grid_size + 1), with homogeneous Dirichlet
+    ends on the poles themselves (the regular solutions vanish like t^m
+    for m > 0).  Conservative central differences in flux form give a
+    generalized symmetric problem A u = lambda B u with diagonal
+    B = sin(t); the similarity transform B^(-1/2) A B^(-1/2) keeps it
+    symmetric tridiagonal.  The eigenvalue error falls as h^2 from m = 1
+    and as h^(2m) below it, where the profile opens like t^m.
     """
-    if grid_size < 500:
-        raise ValueError(f"grid_size must be >= 500, got {grid_size}")
-    if not 1 <= count <= grid_size:
+    _check_index("grid_size", grid_size, 500)
+    _check_index("count", count, 1)
+    if count > grid_size:
         raise ValueError(f"count must lie in [1, grid_size = {grid_size}], got {count}")
     if not (m > 0.0 and math.isfinite(m)):
-        raise ValueError(f"m must be finite and > 0 on the truncated interval, got {m}")
+        raise ValueError(f"m must be finite and > 0, got {m}")
     n = int(grid_size)
-    h = (math.pi - 2.0 * _FD_EPS) / (n + 1)
-    # the end nodes carry the largest diagonal entry, about m^2 / sin^2(theta_1);
+    h = math.pi / (n + 1)
+    # the end nodes carry the largest diagonal entry, about m^2 / sin^2(h);
     # keeping it far below overflow keeps every lambda and nu finite
-    if not m * m / math.sin(_FD_EPS + h) ** 2 <= 1e300:
+    if not m * m / math.sin(h) ** 2 <= 1e300:
         raise ValueError(f"m = {m:g} overflows the finite-difference operator")
     # imported here so that importing this module, or a refusal, loads no scipy
     import numpy as np
     from scipy.linalg import eigh_tridiagonal
 
-    theta = _FD_EPS + h * np.arange(1, n + 1)
-    sin_t = np.sin(theta)
-    s_minus = np.sin(theta - 0.5 * h)
-    s_plus = np.sin(theta + 0.5 * h)
+    sin_t = np.sin(h * np.arange(1, n + 1))
+    s_face = np.sin(h * (np.arange(n + 1) + 0.5))  # sin t at the n + 1 cell faces
+    s_minus, s_plus = s_face[:-1], s_face[1:]
 
     diag_a = (s_minus + s_plus) / h**2 + m**2 / sin_t
     off_a = -s_plus[:-1] / h**2  # couples node i to node i+1
@@ -104,8 +102,7 @@ def bessel_series_reference(nu: float, x: float, terms: int) -> float:
     the comparison isolates accumulation error.  Used to certify series
     values recorded in the test fixtures.
     """
-    if terms < 40:
-        raise ValueError(f"terms must be >= 40, got {terms}")
+    _check_index("terms", terms, 40)
     if not 0.0 < x <= 20.0:
         raise ValueError(f"reference domain is 0 < x <= 20, got x={x}")
     half_x = 0.5 * x

@@ -66,7 +66,7 @@ class ConvergenceError(ArithmeticError):
 
 def _check_index(name: str, value: object, least: int) -> None:
     """Refuse ``value`` unless it is an integer (not ``2.0``) >= ``least``:
-    the one index rule of ``modes`` and ``angular``."""
+    the one index rule of ``modes``, ``angular`` and ``oracle``."""
     try:
         if operator.index(value) >= least:
             return

@@ -79,6 +79,8 @@ class TestGrids:
     def test_uniform_grid_rejects_small_size(self):
         with pytest.raises(ValueError):
             uniform_grid(8)
+        with pytest.raises(ValueError, match="integer"):
+            uniform_grid(16.5)
 
     def test_interior_mask_bounds(self, grid):
         mask = interior_mask(grid)

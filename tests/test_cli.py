@@ -382,6 +382,21 @@ class TestLadderCheck:
             assert proc.returncode == 0, (m, k, proc.stdout)
             assert proc.stdout.splitlines()[2].endswith(",pass")
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "rounding amplified through k + 2 stencil passes (k lowerings in "
+            "build_tesseral, two derivatives in apply_casimir), roughly as "
+            "h**-(k+2): --m 0 --k 5 reads casimir_quotient 8.418e-02 on the "
+            "default 4096 grid, 1.696e-05 at --grid 2048 and 1.807e-11 at "
+            "--grid 1024; --k 6 reads 1.846e+03 at 4096"
+        ),
+    )
+    def test_a_smooth_k5_profile_passes_on_the_default_grid(self):
+        proc = run_cli("ladder-check", "--m", "0", "--k", "5")
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[2].endswith(",pass")
+
 
 class TestOutOfMemory:
     # a grid too large to allocate makes numpy raise MemoryError, which is

@@ -3,10 +3,10 @@
 Two deliberately-simple cross-checks that share no code path with the
 primary implementations:
 
-* ``legendre_spectrum_fd`` -- a second-order finite-difference
-  Sturm-Liouville eigensolver for the theta-equation, confirming that the
-  eigenvalue ladder sits at nu = m + k without any ladder-operator or
-  hypergeometric machinery.
+* ``legendre_spectrum_fd`` -- a finite-difference Sturm-Liouville
+  eigensolver for the theta-equation over [0, pi], Dirichlet at the poles,
+  confirming that the eigenvalue ladder sits at nu = m + k without any
+  ladder-operator or hypergeometric machinery.
 * ``bessel_series_reference`` -- the ascending Bessel series accumulated
   in the standard library's ``decimal`` at 40 significant digits,
   certifying series values to well beyond double precision so

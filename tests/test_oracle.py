@@ -14,9 +14,6 @@ from wedgemodes.specfun import ln_gamma
 
 mp.mp.dps = 40
 
-#: Opening angles in degrees of the five table wedges.
-TABLE_WEDGES = (27, 47, 73, 90, 180)
-
 
 class TestBesselSeriesReference:
     def test_half_order_closed_form(self):
@@ -152,7 +149,7 @@ class TestLegendreSpectrumFd:
             nu_ladder = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * quotient))
             assert abs(nu_fd - nu_ladder) < 0.01 * nu_ladder
 
-    @pytest.mark.parametrize("wedge", TABLE_WEDGES)
+    @pytest.mark.parametrize("wedge", [27, 47, 73, 90, 180])
     def test_eigenvalue_errors_shrink_when_grid_doubles(self, wedge):
         # with the Dirichlet ends on the poles the error falls as h**(2m)
         # below m = 1 and as h**2 from it: a ratio of 2.10-4.00 per doubling

@@ -19,11 +19,16 @@ presentation units); everything internal is SI.  Machine-readable output
 goes to stdout only, diagnostics to stderr only, and identical invocations
 produce byte-identical stdout.  Exit codes: 0 success, 1 validation
 failure, 2 usage error.
+
+``main(argv)`` is the in-process API.  ``run``, the process entry point,
+flushes stdout and stderr after ``main`` and calls ``os._exit``: no
+interpreter teardown, and no ``atexit`` handler, runs after the last byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 # modes and report are imported by the commands that run them, so that
@@ -31,7 +36,7 @@ import sys
 from .oracle import legendre_spectrum_fd
 from .specfun import ConvergenceError, ln_gamma, legendre_theta, riccati_derivative, spherical_j
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 _HIGHEST_WEIGHT_BOUND = 1e-8
 _CASIMIR_BOUND = 1e-5
@@ -206,5 +211,12 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> None:
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -448,3 +449,92 @@ class TestOracle:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+
+def buffered_env(**env: str) -> dict[str, str]:
+    # stdout block-buffered, as by default, so that a byte left unflushed
+    # before os._exit would be missing
+    base = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**base, **env}
+
+
+def run_cli_bytes(*args: str, **env: str) -> tuple[int, bytes, str]:
+    proc = subprocess.run([sys.executable, "-m", "wedgemodes.cli", *args],
+                          capture_output=True, timeout=300, env=buffered_env(**env))
+    return proc.returncode, proc.stdout, proc.stderr.decode("utf-8")
+
+
+def run_in_process(capsysbinary, *args: str) -> tuple[int, bytes, str]:
+    """What ``cli.main`` returns or exits with, and writes, on the same argv."""
+    from wedgemodes import cli
+
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsysbinary.readouterr()
+    return code, out, err.decode("utf-8")
+
+
+class TestProcessExit:
+    # a process ends with os._exit right after flushing, skipping interpreter
+    # teardown, so it must write exactly what main writes and return its code
+
+    @pytest.mark.parametrize("argv, code, err_lines", [
+        (("spectrum", "--radius-mm", "15", "--wedge-deg", "90", "--fmax-ghz", "14",
+          "--format", "csv"), 0, 0),
+        (("spectrum", "--radius-mm", "15", "--wedge-deg", "90", "--fmax-ghz", "14",
+          "--format", "json"), 0, 0),
+        (("validate", "--wedge-deg", "27"), 0, 0),
+        (("validate", "--all"), 1, 7),
+        (("ladder-check",), 0, 0),
+        (("oracle", "--m", "0.540541"), 0, 0),
+        (("eval", "--fn", "sph-j", "--nu", "0.5", "--x", "2"), 0, 0),
+        (("eval", "--fn", "riccati-d", "--nu", "0.666667", "--x", "2.36"), 0, 0),
+        (("eval", "--fn", "legendre-theta", "--nu", "1.666667", "--m", "0.666667",
+          "--x", "1"), 0, 0),
+        (("eval", "--fn", "ln-gamma", "--x", "5"), 0, 0),
+        (("eval", "--fn", "sph-j", "--nu", "1", "--x", "0"), 2, 1),
+    ], ids=["spectrum-csv", "spectrum-json", "validate-27", "validate-all", "ladder-check",
+            "oracle", "eval-sph-j", "eval-riccati-d", "eval-legendre-theta", "eval-ln-gamma",
+            "eval-refused"])
+    def test_process_matches_main(self, capsysbinary, argv, code, err_lines):
+        expected = run_in_process(capsysbinary, *argv)
+        assert run_cli_bytes(*argv) == expected
+        assert expected[0] == code
+        assert len(expected[2].splitlines()) == err_lines
+
+    def test_output_larger_than_a_pipe_arrives_whole(self, capsysbinary):
+        # 173,806 bytes, more than the 64 KiB a pipe holds: the writer blocks
+        # until the reader drains it, and exits only after its last byte
+        argv = ("spectrum", "--radius-mm", "15", "--wedge-deg", "90", "--fmax-ghz", "80",
+                "--format", "json")
+        proc = subprocess.Popen([sys.executable, "-m", "wedgemodes.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                                env=buffered_env())
+        out = proc.stdout.read()
+        proc.stdout.close()
+        assert proc.wait(timeout=300) == 0
+        assert len(out) > 65536
+        assert out == run_in_process(capsysbinary, *argv)[1]
+        assert len(json.loads(out)) > 0
+
+    def test_help_exits_0_with_the_full_help_on_stdout(self, capsysbinary, monkeypatch):
+        # argparse wraps the help at the terminal width it reads from COLUMNS
+        monkeypatch.setenv("COLUMNS", "100")
+        code, out, err = run_cli_bytes("--help", COLUMNS="100")
+        assert (code, out, err) == run_in_process(capsysbinary, "--help")
+        assert code == 0 and err == ""
+        text = out.decode("utf-8")
+        assert text.startswith("usage: wedgemodes ")
+        for command in ("spectrum", "validate", "ladder-check", "oracle", "eval"):
+            assert command in text
+
+    def test_usage_error_exits_2_with_the_usage_on_stderr(self, capsysbinary, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        code, out, err = run_cli_bytes("spectrum", COLUMNS="100")
+        assert (code, out, err) == run_in_process(capsysbinary, "spectrum")
+        assert code == 2 and out == b""
+        assert err.startswith("usage: wedgemodes spectrum ")
+        assert err.endswith("error: the following arguments are required: --radius-mm, "
+                            "--wedge-deg, --fmax-ghz\n")

@@ -9,7 +9,9 @@ neither ``modes`` nor ``report``, ``spectrum`` loads none of ``csv``,
 ``csv`` nor hashlib's OpenSSL: the reference table is split by its column
 declaration and verified with CPython's built-in SHA-256.
 Each check runs in a fresh interpreter and counts modules; nothing is
-timed.
+timed.  Two more hold the premise of ``cli.run``, which ends a process with
+``os._exit``: no command leaves an ``atexit`` handler, thread or logging
+handler for interpreter teardown, and the installed script is ``run``.
 """
 
 from __future__ import annotations
@@ -120,3 +122,56 @@ def test_validate_parses_the_table_without_csv():
     # commas by the column declaration, with no CSV reader
     body = "from wedgemodes import cli\nassert cli.main(['validate', '--wedge-deg', '27']) == 0"
     assert heavy_modules_after(body, ("csv", "_csv")) == []
+
+
+def test_commands_leave_nothing_for_interpreter_teardown():
+    # cli.run ends a process with os._exit after flushing stdout and stderr,
+    # which is safe only while no command registers an atexit handler, starts
+    # a thread or configures a logging handler that teardown would run or
+    # flush; the atexit handler counted before wedgemodes is scipy's
+    # logging.shutdown
+    commands = [
+        ["eval", "--fn", "sph-j", "--nu", "0.5", "--x", "2"],
+        ["eval", "--fn", "riccati-d", "--nu", "0.5", "--x", "2"],
+        ["eval", "--fn", "legendre-theta", "--nu", "1.5", "--m", "0.5", "--x", "1"],
+        ["eval", "--fn", "ln-gamma", "--x", "5"],
+        ["spectrum", "--radius-mm", "15", "--wedge-deg", "90", "--fmax-ghz", "14"],
+        ["spectrum", "--radius-mm", "15", "--wedge-deg", "27", "--fmax-ghz", "14",
+         "--format", "json"],
+        ["validate", "--wedge-deg", "27"],
+        ["validate", "--all"],
+        ["ladder-check"],
+        ["oracle", "--m", "0.5"],
+    ]
+    code = (
+        "import atexit, contextlib, io, sys\n"
+        "import numpy, scipy.linalg\n"
+        "before = atexit._ncallbacks()\n"
+        "import wedgemodes, wedgemodes.angular, wedgemodes.cli, wedgemodes.modes\n"
+        "import wedgemodes.oracle, wedgemodes.report, wedgemodes.specfun\n"
+        "codes = []\n"
+        f"for argv in {commands!r}:\n"
+        "    out = io.TextIOWrapper(io.BytesIO())\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes.append(wedgemodes.cli.main(argv))\n"
+        "import json, logging, threading\n"
+        "print(json.dumps([codes, before, atexit._ncallbacks(), threading.active_count(),\n"
+        "                  len(logging.root.handlers)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, before, after, threads, handlers = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
+    assert after == before
+    assert threads == 1
+    assert handlers == 0
+
+
+def test_installed_script_is_the_run_entry_point():
+    # read as text: Python 3.10 has no tomllib
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert [line for line in section.splitlines() if line.strip()] == [
+        'wedgemodes = "wedgemodes.cli:run"']

@@ -128,8 +128,8 @@ def test_commands_leave_nothing_for_interpreter_teardown():
     # cli.run ends a process with os._exit after flushing stdout and stderr,
     # which is safe only while no command registers an atexit handler, starts
     # a thread or configures a logging handler that teardown would run or
-    # flush; the atexit handler counted before wedgemodes is scipy's
-    # logging.shutdown
+    # flush; the atexit handlers counted before wedgemodes loads include
+    # logging.shutdown, registered by scipy's import of logging
     commands = [
         ["eval", "--fn", "sph-j", "--nu", "0.5", "--x", "2"],
         ["eval", "--fn", "riccati-d", "--nu", "0.5", "--x", "2"],

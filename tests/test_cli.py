@@ -505,18 +505,13 @@ class TestProcessExit:
         assert len(expected[2].splitlines()) == err_lines
 
     def test_output_larger_than_a_pipe_arrives_whole(self, capsysbinary):
-        # 173,806 bytes, more than the 64 KiB a pipe holds: the writer blocks
+        # 173,806 bytes through a pipe, which holds 64 KiB: the writer blocks
         # until the reader drains it, and exits only after its last byte
         argv = ("spectrum", "--radius-mm", "15", "--wedge-deg", "90", "--fmax-ghz", "80",
                 "--format", "json")
-        proc = subprocess.Popen([sys.executable, "-m", "wedgemodes.cli", *argv],
-                                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                                env=buffered_env())
-        out = proc.stdout.read()
-        proc.stdout.close()
-        assert proc.wait(timeout=300) == 0
-        assert len(out) > 65536
-        assert out == run_in_process(capsysbinary, *argv)[1]
+        code, out, err = run_cli_bytes(*argv)
+        assert (code, out, err) == run_in_process(capsysbinary, *argv)
+        assert code == 0 and len(out) > 65536
         assert len(json.loads(out)) > 0
 
     def test_help_exits_0_with_the_full_help_on_stdout(self, capsysbinary, monkeypatch):

@@ -144,7 +144,7 @@ def test_commands_leave_nothing_for_interpreter_teardown():
         ["oracle", "--m", "0.5"],
     ]
     code = (
-        "import atexit, contextlib, io, sys\n"
+        "import atexit, contextlib, io\n"
         "import numpy, scipy.linalg\n"
         "before = atexit._ncallbacks()\n"
         "import wedgemodes, wedgemodes.angular, wedgemodes.cli, wedgemodes.modes\n"

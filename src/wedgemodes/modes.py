@@ -191,6 +191,12 @@ _TOWERS_MAX = 2048
 _TOWERS_LOCK = threading.Lock()
 
 
+def _root_bound(pol: str, nu: float) -> float:
+    """The Pruefer bound ``sqrt(nu (nu + 1))``, plus ``pi / 2`` for TE, at or
+    below which the (pol, nu) tower has no root (see :func:`_tower_roots`)."""
+    return math.sqrt(nu * (nu + 1.0)) + (0.5 * math.pi if pol == "TE" else 0.0)
+
+
 def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]:
     """A new list of the first ``count`` roots of the (pol, nu) tower at or
     below ``x_cap``, ascending.
@@ -212,11 +218,10 @@ def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]
     * consecutive TE roots (``phi`` steps by ``pi``) are at least ``pi``
       apart, and so are consecutive TM roots.
 
-    A tower with its first root's bound at or above ``x_cap`` is not
-    scanned.  A new tower's scan starts at the last grid point at or below
-    that bound, ``t`` (TM) or ``t + pi / 2`` (TE), or at the first grid
-    point if the bound lies below it, and after each root ``r`` it resumes
-    at the last grid point at or below ``r + pi - 0.05``.
+    A tower whose bound (:func:`_root_bound`) is at or above ``x_cap`` is
+    not scanned.  A new tower's scan starts at the last grid point at or
+    below its bound, or at the first if the bound lies below it, and after
+    each root ``r`` at the last grid point at or below ``r + pi - 0.05``.
 
     From its scan point ``g``, below the next root ``r'``, the scan takes
     the window of grid points in ``(g, g + pi]``.  The root after ``r'``
@@ -234,9 +239,7 @@ def _tower_roots(pol: str, nu: float, count: float, x_cap: float) -> list[float]
     floats a scan of every grid point from ``x = 0.05`` finds wherever the
     computed signs are right.
     """
-    lowest = math.sqrt(nu * (nu + 1.0))
-    if pol == "TE":
-        lowest += 0.5 * math.pi
+    lowest = _root_bound(pol, nu)
     if lowest >= x_cap:
         return []
     func = spherical_j if pol == "TE" else riccati_derivative
@@ -329,21 +332,16 @@ _PLANS_LOCK = threading.Lock()
 
 
 def _walk(config: WedgeConfig, polarisations: frozenset[str], x_cap: float) -> tuple:
-    """The walk over (polarisation, n, k) at ``x_cap`` as the plan ``(x_cap,
-    entries)``: TM, then TE, n and then k ascending, a walk over n ending at
-    the first harmonic whose k = 0 tower is empty, a walk over k at the
-    first empty tower.  ``entries`` are its modes as ``(gate, walk index,
-    ModeId, x)``, sorted: the gate is the largest of x and the first roots
-    of the towers passed to reach the mode, the k = 0 towers of earlier
-    harmonics (the null-field TE tower too) and the towers k' <= k of its
-    own.  A walk at any cap lists the modes gated at or below it."""
+    """The plan ``(x_cap, entries)`` of the walk over (polarisation, n, k):
+    TM, then TE, n and then k ascending, over every tower whose
+    :func:`_root_bound` lies below ``x_cap`` but the null-field TE ``nu = 0``
+    one; ``entries`` are its modes as sorted ``(x, walk index, ModeId)``."""
     walk = []
     for pol in ("TM", "TE"):
         if pol not in polarisations:
             continue
         n = 1 if pol == "TM" else 0
         weights: list[float] = []
-        reach = 0.0  # the gate of the latest k = 0 tower
         while True:
             m = azimuthal_index(n, config)
             # a weight an integer J above an earlier one (to rounding)
@@ -354,18 +352,14 @@ def _walk(config: WedgeConfig, polarisations: frozenset[str], x_cap: float) -> t
                 if abs(m - w - j) <= _SAME_DEGREE_TOL:
                     base, shift = w, j
                     break
-            weights.append(m)
-            k, gate = 0, reach
-            while xs := _tower_roots(pol, base + (k + shift), math.inf, x_cap):
-                gate = max(gate, xs[0])
-                if k == 0:
-                    reach = gate
-                if not (pol == "TE" and null_field_check(m + k, m)):
-                    walk += [(max(gate, x), len(walk) + s, ModeId(pol, n, k, s, m), x)
-                             for s, x in enumerate(xs, 1)]
-                k += 1
-            if k == 0:
+            if _root_bound(pol, base + shift) >= x_cap:
                 break
+            weights.append(m)
+            k = 1 if null_field_check(m, m) else 0
+            while _root_bound(pol, base + (k + shift)) < x_cap:
+                xs = _tower_roots(pol, base + (k + shift), math.inf, x_cap)
+                walk += [(x, len(walk) + s, ModeId(pol, n, k, s, m)) for s, x in enumerate(xs, 1)]
+                k += 1
             n += 1
     return x_cap, sorted(walk)
 
@@ -379,9 +373,8 @@ def enumerate_spectrum(
 
     For each polarisation the search walks harmonic number ``n`` (from 1
     for TM, 0 for TE) and, within it, lowering count ``k`` while the tower
-    of order ``nu = m + k`` has a root below the cap; the roots' strict
-    monotonicity in ``nu`` ends the walk over ``n`` at the first ``m``
-    without one.  The null-field TE ``nu = m = 0`` tower is skipped.
+    of order ``nu = m + k`` has its Pruefer bound, which rises with ``nu``,
+    below the cap.  The null-field TE ``nu = m = 0`` tower is skipped.
     Degrees equal mathematically share one tower: a harmonic whose weight
     ``m_n`` lies an integer ``J`` above an earlier weight of the same
     polarisation (to 1e-9; for TE that includes ``m_0 = 0``) requests the
@@ -392,9 +385,9 @@ def enumerate_spectrum(
 
     The walk depends on the opening alone, so it is kept as a plan per
     (wedge_angle, polarisations) at the widest cap asked (see ``_PLANS``).
-    A call lists the plan's modes whose gate (see :func:`_walk`) is at or
-    below its own cap, which are the modes a walk at that cap lists, even
-    where first roots do not rise with ``nu``, as above x = 34.
+    A call lists the plan's modes at or below its own cap, which are the
+    modes a walk at that cap lists: a tower that only the wider walk
+    requested has its bound, and so every root, above that cap.
     """
     if not math.isfinite(f_max_hz):
         raise ValueError("f_max_hz must be finite")
@@ -417,9 +410,9 @@ def enumerate_spectrum(
         _PLANS[key] = plan
 
     # ordered by frequency, then by walk index: TM before TE, then n, k, s;
-    # inf sorts after every walk index, so the cut keeps a gate equal to x_cap
+    # inf sorts after every walk index, so the cut keeps an x equal to x_cap
     served = sorted((frequency(x, config.radius_a), i, mode, x)
-                    for _, i, mode, x in plan[1][:bisect_right(plan[1], (x_cap, math.inf))])
+                    for x, i, mode in plan[1][:bisect_right(plan[1], (x_cap, math.inf))])
     return [ModeRecord(mode, x, f) for f, _, mode, x in served]
 
 

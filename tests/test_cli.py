@@ -16,13 +16,17 @@ SPECTRUM_HEADER = "pol,n,k,m,nu,s,x,freq_ghz,family"
 VALIDATE_HEADER = "wedge_deg,matched,total,mean_abs_dev_vs_hfss_pct,within_tol,status"
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "wedgemodes.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+def buffered_env(**env: str) -> dict[str, str]:
+    # stdout block-buffered, as by default, so that a byte left unflushed
+    # before os._exit would be missing
+    base = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**base, **env}
+
+
+def run_cli(*args: str, text: bool = True, **env: str) -> subprocess.CompletedProcess:
+    """One cold ``wedgemodes`` process, the only way this file starts one."""
+    return subprocess.run([sys.executable, "-m", "wedgemodes.cli", *args],
+                          capture_output=True, text=text, timeout=300, env=buffered_env(**env))
 
 
 @pytest.fixture(scope="module")
@@ -451,16 +455,8 @@ class TestOracle:
         assert "Traceback" not in proc.stderr
 
 
-def buffered_env(**env: str) -> dict[str, str]:
-    # stdout block-buffered, as by default, so that a byte left unflushed
-    # before os._exit would be missing
-    base = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    return {**base, **env}
-
-
 def run_cli_bytes(*args: str, **env: str) -> tuple[int, bytes, str]:
-    proc = subprocess.run([sys.executable, "-m", "wedgemodes.cli", *args],
-                          capture_output=True, timeout=300, env=buffered_env(**env))
+    proc = run_cli(*args, text=False, **env)
     return proc.returncode, proc.stdout, proc.stderr.decode("utf-8")
 
 

@@ -727,12 +727,22 @@ def test_equal_degrees_share_one_tower(monkeypatch):
     # m_1 = 3.000000000000001 and m_2 = 6.000000000000002, so its degrees
     # 3n + k came in several floats each, were scanned as 111 towers and
     # got roots that differ by rounding noise.  Scanned once per degree,
-    # they are 50 towers, equal modes share their root float, and rows
-    # that agree to print precision follow the (TM, n, k, s) rule
+    # they are one tower per degree whose bound lies below the cap (51, the
+    # null-field TE nu = 0 excepted), equal modes share their root float,
+    # and rows that agree to print precision follow the (TM, n, k, s) rule
     fresh_memos(monkeypatch)
     records = enumerate_spectrum(WedgeConfig.from_degrees(300.0, 0.03), 45e9)
     assert len(records) == 530
-    assert len(modes._TOWERS) == 50
+    keys = sorted(modes._TOWERS)
+    assert not any(p == q and nu_b - nu_a <= 1e-9
+                   for (p, nu_a), (q, nu_b) in zip(keys, keys[1:]))
+    # the degrees 3n + k are the integers from 3 for TM and from 0 for TE,
+    # whose null-field nu = 0 tower is not scanned
+    x_cap = 2.0 * math.pi * 0.03 * 45e9 / SPEED_OF_LIGHT
+    degrees = {(pol, d) for pol, low in (("TM", 3), ("TE", 1)) for d in range(low, 40)
+               if modes._root_bound(pol, d) < x_cap}
+    assert len(keys) == len(degrees)
+    assert {(pol, round(nu)) for pol, nu in keys} == degrees
     groups: dict[tuple[str, int], list[tuple[float, float]]] = {}
     for r in records:
         groups.setdefault((r.id.polarisation, r.id.s), []).append((r.id.nu, r.x))
@@ -836,65 +846,81 @@ class TestWedgePlans:
     @pytest.mark.parametrize("pol", ["TE", "TM"])
     def test_first_roots_lie_above_the_bound_below_which_no_tower_is_scanned(
             self, monkeypatch, pol):
-        # a walk finds a tower empty at a cap at or below its Pruefer bound
-        # without scanning it, and a replay at a cap below its first root;
-        # the two agree because every first root lies above that bound
+        # a walk requests the towers whose Pruefer bound lies below its cap,
+        # and a plan built at a wider cap is cut at that cap by x; the two
+        # list the same modes only because every root lies above its
+        # tower's bound, the one premise of a plan cut
         fresh_memos(monkeypatch)
         rng = np.random.default_rng(21 if pol == "TE" else 22)
         found = 0
         for nu in [0.0, *map(float, rng.uniform(0.0, 39.5, 300))]:
-            bound = math.sqrt(nu * (nu + 1.0)) + (0.5 * math.pi if pol == "TE" else 0.0)
+            bound = modes._root_bound(pol, nu)
             first = modes._tower_roots(pol, nu, 1, 40.0)
             assert not first or first[0] > bound, nu
             found += bool(first)
         assert found > 200
 
-    def test_replay_keeps_the_walks_stopping_rules(self, monkeypatch):
-        # towers whose first roots do not rise with nu, as roots misplaced
-        # above x = 34 could make them: at a lower cap the walk over k stops
-        # at the first empty tower and the walk over n at the first empty
-        # harmonic, so a root of a later tower below the cap is not listed,
-        # as a prefix of the widest plan would list it
-        fake = {2.0 / 3.0: [2.5], 5.0 / 3.0: [4.0], 8.0 / 3.0: [2.8], 4.0 / 3.0: [1.5]}
+    def test_the_walk_requests_every_tower_whose_bound_lies_below_the_cap(
+            self, monkeypatch):
+        # first roots that do not rise with nu, each above its tower's bound:
+        # a walk requests every tower whose bound lies below its cap, empty
+        # or not, so at cap 3 it lists 2.5 and 2.9 behind the empty towers
+        # 2/3 and 4/3, and a fresh walk lists what a wider plan's cut lists
+        fake = {2.0 / 3.0: [3.5], 5.0 / 3.0: [2.5], 4.0 / 3.0: [4.0], 7.0 / 3.0: [2.9]}
+        requested = set()
 
         def tower_roots(pol, nu, count, x_cap):
-            xs = next((v for key, v in fake.items() if abs(nu - key) < 1e-9), [])
-            return [x for i, x in enumerate(xs) if i < count and x <= x_cap and pol == "TM"]
+            requested.add((pol, round(3.0 * nu)))
+            xs = next((v for key, v in fake.items() if abs(nu - key) < 1e-9 and pol == "TM"), [])
+            assert all(x > modes._root_bound(pol, nu) for x in xs)
+            return [x for i, x in enumerate(xs) if i < count and x <= x_cap]
 
-        fresh_memos(monkeypatch)
         monkeypatch.setattr(modes, "_tower_roots", tower_roots)
-        config = WedgeConfig.from_degrees(90.0, RADIUS)
+        config = WedgeConfig.from_degrees(90.0, RADIUS)  # m_n = 2n / 3
         listed = {}
         for x_cap in (5.0, 3.0, 2.0):
             f_max = x_cap * SPEED_OF_LIGHT / (2.0 * math.pi * RADIUS)
-            got = enumerate_spectrum(config, f_max)
-            assert got == walk_without_plan(config, f_max, ("TM", "TE"))
-            listed[x_cap] = sorted(r.x for r in got)
-        assert len(modes._PLANS) == 1
-        assert listed == {5.0: [1.5, 2.5, 2.8, 4.0], 3.0: [1.5, 2.5], 2.0: []}
+            fresh_memos(monkeypatch)
+            requested.clear()
+            fresh = enumerate_spectrum(config, f_max)
+            # the degrees 2n / 3 + k in thirds, but the null-field TE nu = 0
+            assert requested == {
+                (pol, d) for pol, first in (("TM", 1), ("TE", 0))
+                for d in (2 * n + 3 * k for n in range(first, 30) for k in range(30))
+                if d > 0 and modes._root_bound(pol, d / 3.0) < x_cap}
+            fresh_memos(monkeypatch)
+            enumerate_spectrum(config, 5.0 * SPEED_OF_LIGHT / (2.0 * math.pi * RADIUS))
+            assert enumerate_spectrum(config, f_max) == fresh
+            assert len(modes._PLANS) == 1
+            listed[x_cap] = [r.x for r in fresh]
+        assert listed == {5.0: [2.5, 2.9, 3.5, 4.0], 3.0: [2.5, 2.9], 2.0: []}
 
     def test_equal_frequencies_from_distinct_roots_keep_the_walk_order(self, monkeypatch):
-        # TM nu = 2/3 and TE nu = 1 have distinct roots that give one
-        # frequency float at this radius; the TE mode has the lower gate and
-        # x, so a list ordered by gate or by x alone would put it first
-        fake = {("TM", 2.0 / 3.0): [math.nextafter(2.5, 3.0)], ("TE", 0.0): [1.0],
-                ("TE", 1.0): [2.5]}
+        # TM nu = 2/3 and TE nu = 1 have distinct roots, each above its
+        # tower's bound, that give one frequency float at this radius; the
+        # TE mode has the lower x, so a list ordered by x alone would put it
+        # first
+        fake = {("TM", 2.0 / 3.0): [math.nextafter(3.5, 4.0)], ("TE", 1.0): [3.5]}
 
         def tower_roots(pol, nu, count, x_cap):
             xs = next((v for (p, key), v in fake.items() if p == pol and abs(nu - key) < 1e-9),
                       [])
+            assert all(x > modes._root_bound(pol, nu) for x in xs)
             return [x for i, x in enumerate(xs) if i < count and x <= x_cap]
 
-        fresh_memos(monkeypatch)
         monkeypatch.setattr(modes, "_tower_roots", tower_roots)
-        radius = 0.01025
-        for x_cap in (5.0, 2.6):  # built at the first cap, served at the second
-            f_max = x_cap * SPEED_OF_LIGHT / (2.0 * math.pi * radius)
-            got = enumerate_spectrum(WedgeConfig.from_degrees(90.0, radius), f_max)
+        config = WedgeConfig.from_degrees(90.0, 0.01082)
+        for x_cap in (5.0, 3.6):
+            f_max = x_cap * SPEED_OF_LIGHT / (2.0 * math.pi * config.radius_a)
+            fresh_memos(monkeypatch)
+            fresh = enumerate_spectrum(config, f_max)
+            fresh_memos(monkeypatch)
+            enumerate_spectrum(config, 5.0 * SPEED_OF_LIGHT / (2.0 * math.pi * config.radius_a))
+            got = enumerate_spectrum(config, f_max)  # the plan built at 5, cut
+            assert got == fresh and len(modes._PLANS) == 1
             assert [(r.id.polarisation, r.id.n, r.id.k, r.id.s) for r in got] == [
                 ("TM", 1, 0, 1), ("TE", 0, 1, 1)]
             assert got[0].freq_hz == got[1].freq_hz and got[0].x > got[1].x
-        assert len(modes._PLANS) == 1
 
     def test_a_plan_serves_any_radius_at_or_below_its_cap(self, monkeypatch):
         # the plan holds no radius, and serving it evaluates nothing and
@@ -960,9 +986,9 @@ class TestWedgePlans:
 
 class TestPlanCut:
     def test_a_cap_equal_to_a_modes_x_keeps_the_mode(self, monkeypatch):
-        # each mode here is gated at its own x, so a cap equal to that float
-        # keeps it, whether the plan is built at the cap or built wider and
-        # cut there, and the next cap below drops it
+        # a plan is cut by x, so a cap equal to a mode's x keeps the mode,
+        # whether the plan is built at the cap or built wider and cut there,
+        # and the next cap below drops it
         config = WedgeConfig.from_degrees(27.0, RADIUS)
 
         def x_cap(f_max):

@@ -12,8 +12,9 @@ ConvergenceError if that takes more than 200 terms, unless for
 ``legendre_theta`` the tail left is below 1e-15 of its first term, 1 (next
 to a zero).  ``legendre_theta`` also raises it once a term passes 1e5,
 where its alternating sum would cancel away more digits than a profile
-value can spare.  Both loops iterate float term indices built once from
-the 200-term cap.
+value can spare.  ``bessel_j`` iterates float term indices built once from
+the 200-term cap; ``legendre_theta`` iterates its series factors, built
+once per (nu, m) from those indices.
 
 Public surface:
     ConvergenceError   -- raised when a series fails to settle
@@ -25,6 +26,7 @@ Public surface:
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -179,6 +181,18 @@ def riccati_derivative(nu: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _legendre_factors(nu: float, m: float) -> tuple[tuple[float, float], ...]:
+    """``legendre_theta``'s term ratios at (nu, m) as (numerator, denominator)
+    pairs, from floats (``2`` and ``2.0`` are one key), up to the first 0."""
+    a = float(m) - float(nu)
+    b = float(m) + float(nu) + 1.0
+    c = float(m) + 1.0
+    stop = 1 - int(a) if a <= 0.0 and a.is_integer() else _SERIES_MAX_TERMS
+    return tuple(((j + a) * (j + b), (j + c) * (j + 1.0))
+                 for j in _LEGENDRE_INDICES[:stop])
+
+
 def legendre_theta(nu: float, m: float, theta: float) -> float:
     """The solution of the theta-equation regular at the north pole.
 
@@ -196,6 +210,9 @@ def legendre_theta(nu: float, m: float, theta: float) -> float:
     partial sum whose tail is not negligible).  At moderate degree its
     terms grow far beyond the sum and cancel; a ConvergenceError is raised
     once a term passes 1e5 rather than returning the cancelled remainder.
+
+    The series factors are computed once per (nu, m), and the 16 most
+    recent (nu, m) pairs are kept; a one-shot call pays that build.
     """
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
@@ -203,13 +220,10 @@ def legendre_theta(nu: float, m: float, theta: float) -> float:
         raise ValueError(f"nu and m must be finite and >= 0, got nu={nu}, m={m}")
     sin_half = math.sin(0.5 * theta)
     u = sin_half * sin_half
-    a = m - nu
-    b = m + nu + 1.0
-    c = m + 1.0
     term = 1.0
     total = 1.0
-    for j in _LEGENDRE_INDICES:
-        term *= (j + a) * (j + b) * u / ((j + c) * (j + 1.0))
+    for num, den in _legendre_factors(nu, m):
+        term *= num * u / den
         size = abs(term)
         if size > _LEGENDRE_TERM_MAX:
             raise ConvergenceError(
@@ -223,7 +237,10 @@ def legendre_theta(nu: float, m: float, theta: float) -> float:
     # tail, last * ratio / (1 - ratio) at the larger of the next term ratio
     # and its limit u, is below 1e-15 of the first term, 1, which bounds the
     # largest term from below without a per-term running maximum
-    n = j + 1.0
+    a = m - nu
+    b = m + nu + 1.0
+    c = m + 1.0
+    n = float(_SERIES_MAX_TERMS)
     ratio = max(u, abs((n + a) * (n + b) / ((n + c) * (n + 1.0))) * u)
     if abs(term) * ratio <= _SERIES_REL_TOL * (1.0 - ratio):
         return math.sin(theta) ** m * total

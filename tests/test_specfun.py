@@ -10,7 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from wedgemodes import angular, specfun
+from wedgemodes import angular, modes, specfun
 from wedgemodes.modes import te_field_shape
 from wedgemodes.specfun import (
     BESSEL_X_MAX,
@@ -365,3 +365,90 @@ def test_series_values_are_frozen():
         nu = m + (rng.randint(0, 12) if i % 2 else 12.0 * rng.random())
         put(legendre_theta, nu, m, rng.uniform(0.01, math.pi - 0.01))
     assert digest.hexdigest().startswith("7a50024db1b66b4c")
+
+
+def _unmemoised_legendre_theta(nu, m, theta):
+    # legendre_theta as it was before its series factors were memoised: each
+    # call rebuilds every term ratio.  The reference of the test below
+    if not 0.0 < theta < math.pi:
+        raise ValueError(f"theta must lie in (0, pi), got {theta}")
+    if not (0.0 <= m < math.inf and 0.0 <= nu < math.inf):
+        raise ValueError(f"nu and m must be finite and >= 0, got nu={nu}, m={m}")
+    sin_half = math.sin(0.5 * theta)
+    u = sin_half * sin_half
+    a = m - nu
+    b = m + nu + 1.0
+    c = m + 1.0
+    term = 1.0
+    total = 1.0
+    for j in specfun._LEGENDRE_INDICES:
+        term *= (j + a) * (j + b) * u / ((j + c) * (j + 1.0))
+        size = abs(term)
+        if size > specfun._LEGENDRE_TERM_MAX:
+            raise ConvergenceError(
+                f"legendre_theta(nu={nu}, m={m}) series cancels at theta={theta}: "
+                f"a term reached {size:.3g} > {specfun._LEGENDRE_TERM_MAX:g}"
+            )
+        total += term
+        if size < specfun._SERIES_REL_TOL * abs(total):
+            return math.sin(theta) ** m * total
+    n = j + 1.0
+    ratio = max(u, abs((n + a) * (n + b) / ((n + c) * (n + 1.0))) * u)
+    if abs(term) * ratio <= specfun._SERIES_REL_TOL * (1.0 - ratio):
+        return math.sin(theta) ** m * total
+    raise ConvergenceError(
+        f"legendre_theta(nu={nu}, m={m}) series did not converge at "
+        f"theta={theta} within {specfun._SERIES_MAX_TERMS} terms"
+    )
+
+
+def _outcome(func, *args):
+    try:
+        return [float(v).hex() for v in np.atleast_1d(func(*args))]
+    except (ValueError, ConvergenceError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_memoised_factors_match_the_unmemoised_series(monkeypatch):
+    # every (nu, m) is evaluated at 8 theta, so 7 calls read a memoised
+    # tuple; the keys are revisited once while still kept and once after 39
+    # others have evicted them from the 16-entry memo
+    rng = random.Random(2801)
+    keys = []
+    for i in range(40):
+        m = 6.0 * rng.random()
+        keys.append((m + (rng.randint(0, 6) if i % 2 else 6.0 * rng.random()), m))
+    for d in (0, 1, 12, 199, 200, 250):  # nu - m whole, cut at or past 200
+        keys += [(0.5 + d, 0.5), (float(d), 0.0)]
+    thetas = [0.001, 0.01, 0.3, 1.0, 1.9, 2.4, 2.9, 3.1]
+    for nu, m in keys + keys[-8:] + keys:
+        for theta in thetas:
+            assert _outcome(legendre_theta, nu, m, theta) == \
+                _outcome(_unmemoised_legendre_theta, nu, m, theta), (nu, m, theta)
+    # the tail return, the tail refusal and the 1e5 growth refusal
+    tail = (2.1510933942076775, 1.9101235221860728, 2.2)
+    assert isinstance(_outcome(legendre_theta, *tail), list)
+    for args, message in (((7 / 6, 2 / 3, 3.05), "did not converge"),
+                          ((50.3, 0.5, 2.0), "a term reached")):
+        assert message in _outcome(legendre_theta, *args)[1]
+    for args in (tail, (7 / 6, 2 / 3, 3.05), (50.3, 0.5, 2.0)):
+        for _ in range(2):
+            assert _outcome(legendre_theta, *args) == \
+                _outcome(_unmemoised_legendre_theta, *args)
+    # te_field_shape takes both of its degrees through the memo
+    grid = [math.pi * (i + 0.5) / 32 for i in range(32)]
+    for nu, m in ((3.4, 1.2), (5.0, 2.0)):
+        got = [_outcome(te_field_shape, nu, m, 2.5, t) for t in grid]
+        monkeypatch.setattr(modes, "legendre_theta", _unmemoised_legendre_theta)
+        assert [_outcome(te_field_shape, nu, m, 2.5, t) for t in grid] == got
+        monkeypatch.undo()
+
+
+def test_integer_and_numpy_arguments_share_float_factors():
+    # int, bool and NumPy arguments are one memo key with the float of the
+    # same value, whichever type built the memoised tuple first
+    for args in ((2, 1, 0.5), (2.0, 1.0, 0.5), (True, 0, 0.5), (1.0, 0.0, 0.5),
+                 (np.int64(3), np.int64(1), 0.7), (3.0, 1.0, 0.7),
+                 (np.float64(2.75), np.float64(1.25), 1.1), (2.75, 1.25, 1.1)):
+        assert _outcome(legendre_theta, *args) == \
+            _outcome(_unmemoised_legendre_theta, *args), args
